@@ -1,0 +1,140 @@
+// Golden pin of what the simulated rack models. Two fixed-seed runs are
+// reduced to their integer Measurement fields (per-chain offered,
+// delivered, dropped and residual; every drop-ledger cell; recovery
+// events) plus the per-chain latency-histogram counts, and compared
+// verbatim against values recorded once. The other runtime tests compare
+// same-seed runs inside one binary; this one catches a refactor that
+// changes stage order, timing or drop attribution across commits.
+//
+// Re-record only for an intended model change, and say so in the change.
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+
+#include "src/chain/canonical.h"
+#include "src/metacompiler/pisa_oracle.h"
+#include "src/placer/placer.h"
+#include "src/runtime/recovery.h"
+#include "src/runtime/testbed.h"
+
+namespace lemur::runtime {
+namespace {
+
+struct Rack {
+  topo::Topology topo;
+  std::vector<chain::ChainSpec> chains;
+  placer::PlacerOptions options;
+  placer::PlacementResult placement;
+  metacompiler::CompiledArtifacts artifacts;
+};
+
+Rack place_rack(const std::vector<int>& numbers, topo::Topology topo) {
+  Rack r;
+  r.topo = std::move(topo);
+  r.chains = chain::canonical_chains(numbers);
+  placer::apply_delta(r.chains, 1.0, r.topo.servers.front(), r.options);
+  metacompiler::CompilerOracle oracle(r.topo);
+  r.placement = placer::place(placer::Strategy::kLemur, r.chains, r.topo,
+                              r.options, oracle);
+  EXPECT_TRUE(r.placement.feasible) << r.placement.infeasible_reason;
+  r.artifacts = metacompiler::compile(r.chains, r.placement, r.topo);
+  EXPECT_TRUE(r.artifacts.ok) << r.artifacts.error;
+  return r;
+}
+
+/// One line per pinned fact, so a mismatch diff names the field.
+std::string digest(const Testbed& testbed, const Measurement& m) {
+  std::ostringstream out;
+  out << "total offered " << m.offered_packets << " delivered "
+      << m.delivered_packets << " dropped " << m.dropped_packets
+      << " residual " << m.residual_queued << "\n";
+  for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
+    out << "chain" << c << " offered " << m.chain_offered[c]
+        << " delivered " << m.chain_delivered[c] << " dropped "
+        << m.chain_dropped[c] << " residual " << m.chain_residual[c] << "\n";
+  }
+  for (const auto& [key, n] : m.drops.cells()) {
+    out << "drop chain" << std::get<0>(key) << " "
+        << net::to_string(std::get<1>(key)) << " "
+        << telemetry::to_string(std::get<2>(key)) << " " << n << "\n";
+  }
+  for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
+    const auto& hist = testbed.metrics().histograms().at(
+        "chain" + std::to_string(c) + ".latency_ns");
+    out << "chain" << c << " latency n " << hist.count() << " sum "
+        << hist.sum() << " min " << hist.min() << " max " << hist.max()
+        << "\n";
+  }
+  for (const auto& ev : m.recovery) {
+    out << "event " << ev.element << " " << ev.action << "\n  detected "
+        << ev.detected_ns << " recovered " << ev.recovered_ns << " window "
+        << ev.fault_window_drops << " flush " << ev.recovery_flush_drops
+        << "\n";
+  }
+  return out.str();
+}
+
+TEST(ModelGolden, TorServersSmartNicOpenFlow) {
+  auto topo = topo::Topology::multi_server(2, 16);
+  topo.smartnics.push_back(topo::SmartNicSpec{});
+  topo.openflow = topo::OpenFlowSwitchSpec{};
+  const auto r = place_rack({2, 4, 5}, topo);
+  Testbed testbed(r.chains, r.placement, r.artifacts, r.topo, 7);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+  const auto m = testbed.run(5.0);
+
+  // The pin only means something if every platform is on the path.
+  bool nic = false, openflow = false;
+  for (const auto& [key, stats] : testbed.traces().hops()) {
+    nic |= key.second.platform == net::HopPlatform::kSmartNic;
+    openflow |= key.second.platform == net::HopPlatform::kOpenFlow;
+  }
+  EXPECT_TRUE(nic);
+  EXPECT_TRUE(openflow);
+
+  EXPECT_EQ(digest(testbed, m),
+            "total offered 17499 delivered 17499 dropped 0 residual 0\n"
+            "chain0 offered 13322 delivered 13322 dropped 0 residual 0\n"
+            "chain1 offered 551 delivered 551 dropped 0 residual 0\n"
+            "chain2 offered 3626 delivered 3626 dropped 0 residual 0\n"
+            "chain0 latency n 13322 sum 997262345 min 48678 max 106285\n"
+            "chain1 latency n 551 sum 112119022 min 106997 max 210664\n"
+            "chain2 latency n 3626 sum 122893181 min 25673 max 40769\n");
+}
+
+TEST(ModelGolden, ChaosServerDeathAndWireCorruption) {
+  const auto r = place_rack({3, 5}, topo::Topology::multi_server(2, 8));
+  std::string parse_error;
+  const auto events =
+      FaultScheduler::parse("server:1@2;corrupt:0@1+1@0.25", &parse_error);
+  ASSERT_TRUE(events.has_value()) << parse_error;
+  FaultScheduler faults(*events, 42);
+  metacompiler::CompilerOracle oracle(r.topo);
+  RecoveryController controller(r.chains, r.placement, r.topo, r.options,
+                                oracle);
+  Testbed testbed(r.chains, r.placement, r.artifacts, r.topo, 42);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+  testbed.set_fault_scheduler(&faults);
+  testbed.set_recovery_hook(&controller);
+  const auto m = testbed.run(10.0);
+  EXPECT_EQ(testbed.plan_generation(), 1);
+
+  EXPECT_EQ(digest(testbed, m),
+            "total offered 16324 delivered 11332 dropped 235 residual 4236\n"
+            "chain0 offered 3306 delivered 1567 dropped 235 residual 1504\n"
+            "chain1 offered 13018 delivered 9765 dropped 521 residual 2732\n"
+            "drop chain0 wire fault 136\n"
+            "drop chain0 wire recovery-flush 33\n"
+            "drop chain0 tor recovery-flush 66\n"
+            "drop chain1 server fault 521\n"
+            "chain0 latency n 1567 sum 3586925052 min 104287 max 6439838\n"
+            "chain1 latency n 9765 sum 15722353671 min 97114 max 4148858\n"
+            "event wire0 impairment-ride-through\n"
+            "  detected 1000000 recovered 2400000 window 136 flush 0\n"
+            "event server1 replaced\n"
+            "  detected 2000000 recovered 2300000 window 521 flush 99\n");
+}
+
+}  // namespace
+}  // namespace lemur::runtime
