@@ -71,14 +71,6 @@ echo "==== [normal] failover mttr ===="
 (cd "$ci_root/build" &&
  ./bench/failover_mttr --baseline "$repo_root/BENCH_failover.json")
 
-# Chaos smoke: fixed-seed fault spec through the CLI; exit 1 on any
-# unrecovered fault or per-chain conservation mismatch.
-echo "==== [normal] chaos smoke ===="
-(cd "$ci_root/build" &&
- ./tools/lemur_cli chaos --chain 3 --chain 5 --servers 2 --cores 8 \
-   --seed 42 --faults "server:1@2;corrupt:0@1+1@0.25" \
-   --json chaos_smoke.json)
-
 run_config sanitize "$ci_root/build-sanitize" \
   -DLEMUR_SANITIZE="address;undefined"
 

@@ -238,8 +238,10 @@ void RecoveryController::execute(Testbed& testbed, const Pending& pending,
   gen->chains = std::move(chains);
   gen->topo = std::move(topo);
   gen->placement = std::move(result);
-  gen->artifacts =
-      metacompiler::compile(gen->chains, gen->placement, gen->topo);
+  // swap_plan() is the verify gate; verifying here too would only repeat
+  // it on the same artifacts.
+  gen->artifacts = metacompiler::compile(gen->chains, gen->placement,
+                                         gen->topo, {.run_verifier = false});
 
   const std::uint64_t flushed_before = testbed.recovery_flush_drops();
   std::string swap_error;

@@ -11,9 +11,9 @@
 //   2. incrementally re-places only the chains the element carried
 //      (placer::replace_incremental over a persistent CachingOracle, so
 //      unaffected subgroups' switch probes hit cache),
-//   3. recompiles artifacts and verifies the degraded plan,
-//   4. migrates stateful NF state and atomically swaps the dataplane
-//      (Testbed::swap_plan), and
+//   3. recompiles artifacts for the degraded plan,
+//   4. hands them to Testbed::swap_plan, which verifies them, migrates
+//      stateful NF state and atomically swaps the dataplane, and
 //   5. when the degraded rack cannot carry every chain's t_min, walks the
 //      degradation ladder: admission-shed the lowest-marginal chain
 //      (explicit ledger cause) and retry until feasible.

@@ -1,7 +1,6 @@
 #include "src/runtime/testbed.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/nf/software/crypto_nfs.h"
 #include "src/nf/software/factory.h"
@@ -11,6 +10,8 @@
 
 namespace lemur::runtime {
 namespace {
+
+constexpr metacompiler::PortMap kPorts;
 
 /// Which bucket a ToR drop belongs to: the metacompiler's coordination
 /// tables (steering/routing) drop unrouted traffic, everything else is an
@@ -25,28 +26,14 @@ telemetry::DropCause classify_tor_drop(const std::string& drop_table) {
   return telemetry::DropCause::kNfVerdict;
 }
 
-/// Resolves a BESS module name of the form "c<chain>_s<seg>_r<rep>_<nf>"
-/// to its chain graph node; -1 for non-NF modules (queues, encaps,
-/// generated steering).
-int parse_module_node(const std::vector<chain::ChainSpec>& chains,
-                      const std::string& name, int* chain_out) {
-  int chain = -1, seg = -1, replica = -1, consumed = 0;
-  if (std::sscanf(name.c_str(), "c%d_s%d_r%d_%n", &chain, &seg, &replica,
-                  &consumed) != 3 ||
-      consumed == 0 || chain < 0 ||
-      chain >= static_cast<int>(chains.size())) {
-    return -1;
-  }
-  const std::string instance =
-      name.substr(static_cast<std::size_t>(consumed));
-  for (const auto& node :
-       chains[static_cast<std::size_t>(chain)].graph.nodes()) {
-    if (node.instance_name == instance) {
-      *chain_out = chain;
-      return node.id;
+/// "[rule] locus: message" of a report's first error-severity finding.
+std::string first_error(const verify::Report& report) {
+  for (const auto& d : report.diagnostics) {
+    if (d.severity == verify::Severity::kError) {
+      return "[" + d.rule + "] " + d.locus + ": " + d.message;
     }
   }
-  return -1;
+  return {};
 }
 
 }  // namespace
@@ -55,17 +42,10 @@ int parse_module_node(const std::vector<chain::ChainSpec>& chains,
 /// once their ready time passes.
 class Testbed::WireSource : public bess::PacketSource {
  public:
-  explicit WireSource(net::PacketPool* pool) : pool_(pool) {}
+  [[nodiscard]] bool full() const { return fifo_.size() >= kCapacity; }
 
-  /// False when the FIFO is full (the caller charges the drop).
-  bool push(net::Packet pkt, std::uint64_t ready_ns) {
-    if (fifo_.size() >= kCapacity) {
-      ++drops_;
-      pool_->release(std::move(pkt));
-      return false;
-    }
+  void push(net::Packet pkt, std::uint64_t ready_ns) {
     fifo_.emplace_back(ready_ns, std::move(pkt));
-    return true;
   }
 
   std::size_t pull(net::PacketBatch& out, std::size_t max,
@@ -79,7 +59,6 @@ class Testbed::WireSource : public bess::PacketSource {
     return n;
   }
 
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::size_t depth() const { return fifo_.size(); }
 
   [[nodiscard]] std::map<std::uint32_t, std::uint64_t>
@@ -97,9 +76,7 @@ class Testbed::WireSource : public bess::PacketSource {
 
  private:
   static constexpr std::size_t kCapacity = 16384;
-  net::PacketPool* pool_;
   std::deque<std::pair<std::uint64_t, net::Packet>> fifo_;
-  std::uint64_t drops_ = 0;
 };
 
 /// Collects server egress for re-injection at the ToR. Closes the open
@@ -145,48 +122,42 @@ Testbed::Testbed(const std::vector<chain::ChainSpec>& chains,
   latency_ns_.assign(chains.size(), {});
   raw_latency_ns_.assign(chains.size(), {});
   shed_.assign(chains.size(), 0);
-  deploy();
-}
-
-void Testbed::deploy() {
-  error_.clear();
-  if (!artifacts_->ok) {
-    error_ = "artifacts not compiled: " + artifacts_->error;
+  if (!artifacts.ok) {
+    error_ = "artifacts not compiled: " + artifacts.error;
     return;
   }
   // Re-run the deployment verifier on the artifacts as handed to us (not
   // the report stored at compile time — artifacts may have been modified
   // since). Error-severity findings mean misrouted traffic or
   // overcommitted resources, so deployment is refused outright.
-  const auto report =
-      verify::verify_artifacts(*chains_, *placement_, *artifacts_, *topo_);
+  const auto report = verify::verify_artifacts(chains, placement, artifacts,
+                                               topo);
   if (report.has_errors()) {
-    const auto* first = &report.diagnostics.front();
-    for (const auto& d : report.diagnostics) {
-      if (d.severity == verify::Severity::kError) {
-        first = &d;
-        break;
-      }
-    }
     error_ = "deployment verifier found " +
              std::to_string(report.count(verify::Severity::kError)) +
-             " error(s); first: [" + first->rule + "] " + first->locus +
-             ": " + first->message;
+             " error(s); first: " + first_error(report);
     return;
   }
+  build();
+}
+
+void Testbed::build() {
+  error_.clear();
   endpoints_.clear();
   tor_.reset();
   servers_.clear();
-  nics_.clear();
+  server_of_port_.clear();
   of_switch_.reset();
   segment_index_ = metacompiler::SegmentIndex(artifacts_->routings);
   // resize, not assign: servers already marked dead stay dead across a
   // swap (the degraded plan routes nothing at them anyway).
   server_dead_.resize(topo_->servers.size(), 0);
+  bounce_ns_ = static_cast<std::uint64_t>(topo_->bounce_latency_us * 1000);
   build_endpoints();
   build_tor();
   if (!error_.empty()) return;
-  build_servers(seed_);
+  tor_backlog_ = &metrics_.gauge("tor.backlog");
+  build_servers();
   build_nics();
   build_openflow();
 }
@@ -200,47 +171,35 @@ int Testbed::chain_of(std::uint32_t aggregate_id) const {
   return 0;
 }
 
-void Testbed::count_drop(const net::Packet& pkt, net::HopPlatform platform,
-                         telemetry::DropCause cause) {
+void Testbed::drop(net::Packet&& pkt, net::HopPlatform platform,
+                   telemetry::DropCause cause) {
   drop_ledger_.add(chain_of(pkt.aggregate_id), platform, cause);
+  pool_.release(std::move(pkt));
 }
 
-void Testbed::append_hop(net::Packet& pkt, net::HopPlatform platform,
-                         std::uint16_t id, std::uint64_t exit_ns) {
+void Testbed::fault_drop(net::Packet&& pkt, net::HopPlatform platform,
+                         const std::string& counter) {
+  // A ledger spike says *that* something died; the per-element counter
+  // says *what*.
+  metrics_.counter(counter).add(1);
+  drop(std::move(pkt), platform, telemetry::DropCause::kFault);
+}
+
+void Testbed::trace_hop(net::Packet& pkt, net::HopPlatform platform,
+                        std::uint16_t id, std::uint64_t exit_ns) {
   if (!tracing_) return;
   net::PacketHop hop;
   hop.platform = platform;
   hop.id = id;
   hop.enter_ns =
       pkt.hops.empty() ? pkt.arrival_ns : pkt.hops.back().exit_ns;
-  hop.exit_ns = std::max(hop.enter_ns, exit_ns);
-  // NSH coordinates the packet carries *now* — i.e. the segment it is
-  // heading into after this hop.
+  hop.exit_ns = platform == net::HopPlatform::kServer
+                    ? 0
+                    : std::max(hop.enter_ns, exit_ns);
   const auto* layers = pkt.layers();
   if (layers != nullptr && layers->nsh) {
     hop.spi = layers->nsh->spi;
     hop.si = layers->nsh->si;
-  }
-  pkt.hops.push_back(hop);
-}
-
-void Testbed::open_server_hop(net::Packet& pkt, int server,
-                              std::uint32_t spi, std::uint8_t si) {
-  if (!tracing_) return;
-  net::PacketHop hop;
-  hop.platform = net::HopPlatform::kServer;
-  hop.id = static_cast<std::uint16_t>(server);
-  hop.enter_ns =
-      pkt.hops.empty() ? pkt.arrival_ns : pkt.hops.back().exit_ns;
-  hop.exit_ns = 0;  // Sentinel: the ReturnSink closes the hop at egress.
-  if (spi != 0) {
-    hop.spi = spi;
-    hop.si = si;
-  } else if (!pkt.hops.empty()) {
-    // The previous hop peeked the NSH coordinates this server entry
-    // executes; carry them over without re-parsing.
-    hop.spi = pkt.hops.back().spi;
-    hop.si = pkt.hops.back().si;
   }
   pkt.hops.push_back(hop);
 }
@@ -256,10 +215,6 @@ void Testbed::build_endpoints() {
             ep.server = g.server;
           }
         }
-      } else if (segment.target == placer::Target::kSmartNic) {
-        ep.server = topo_->smartnics.empty()
-                        ? 0
-                        : topo_->smartnics.front().attached_server;
       }
       for (const auto& entry : segment.entries) {
         endpoints_[endpoint_key(entry.spi, entry.si)] = ep;
@@ -284,15 +239,25 @@ void Testbed::build_tor() {
   }
 }
 
-void Testbed::build_servers(std::uint64_t seed) {
+void Testbed::build_servers() {
   servers_.resize(topo_->servers.size());
   for (std::size_t s = 0; s < topo_->servers.size(); ++s) {
     auto& rt = servers_[s];
     rt.dataplane = std::make_unique<bess::ServerDataplane>(
-        topo_->servers[s], seed + s);
+        topo_->servers[s], seed_ + s);
     rt.dataplane->set_packet_pool(&pool_);
-    rt.source = std::make_unique<WireSource>(&pool_);
+    rt.source = std::make_unique<WireSource>();
     rt.sink = std::make_unique<ReturnSink>();
+    server_of_port_[kPorts.server(static_cast<int>(s))] = static_cast<int>(s);
+    const std::string index = std::to_string(s);
+    const std::string prefix = "server" + index;
+    rt.wire_depth = {&metrics_.gauge(prefix + ".wire_depth"),
+                     &metrics_.histogram(prefix + ".wire_depth")};
+    rt.queue_depth = {&metrics_.gauge(prefix + ".queue_depth"),
+                      &metrics_.histogram(prefix + ".queue_depth")};
+    rt.server_fault = "fault.server" + index + ".drops";
+    rt.link_fault = "fault.link" + index + ".drops";
+    rt.wire_fault = "fault.wire" + index + ".drops";
     auto& dp = *rt.dataplane;
 
     const auto& plan = artifacts_->server_plans[s];
@@ -305,6 +270,8 @@ void Testbed::build_servers(std::uint64_t seed) {
     inc->connect(0, demux);
     dp.add_task(0, bess::Task(inc));
     dp.add_task(0, bess::Task(loopback, demux));
+    rt.demux = demux;
+    rt.queues.push_back(loopback);
 
     int next_core = 1;
     std::map<int, int> shared_core_of_group;
@@ -317,7 +284,7 @@ void Testbed::build_servers(std::uint64_t seed) {
           "c" + std::to_string(seg.chain) + "_s" + std::to_string(i);
 
       // Replica queues fed from the demux (via round-robin when k > 1).
-      std::vector<bess::Queue*> queues;
+      const std::size_t first_queue = rt.queues.size();
       if (seg.cores > 1) {
         auto* steer =
             dp.add_module<bess::LoadBalanceSteer>("steer_" + id, seg.cores);
@@ -327,13 +294,13 @@ void Testbed::build_servers(std::uint64_t seed) {
           auto* q = dp.add_module<bess::Queue>(
               "q_" + id + "_r" + std::to_string(r), 4096);
           steer->connect(r, q);
-          queues.push_back(q);
+          rt.queues.push_back(q);
         }
       } else {
         auto* q = dp.add_module<bess::Queue>("q_" + id + "_r0", 4096);
         demux->map(seg.spi_in, seg.si_in, demux_gate);
         demux->connect(demux_gate++, q);
-        queues.push_back(q);
+        rt.queues.push_back(q);
       }
 
       for (int r = 0; r < seg.cores; ++r) {
@@ -376,6 +343,7 @@ void Testbed::build_servers(std::uint64_t seed) {
           auto* module = dp.add_module<nf::NfModule>(
               id + "_r" + std::to_string(r) + "_" + node.instance_name,
               std::move(nf_impl));
+          rt.nfs.push_back({module, seg.chain, node_id});
           if (head == nullptr) head = module;
           if (tail != nullptr) tail->connect(0, module);
           tail = module;
@@ -394,6 +362,7 @@ void Testbed::build_servers(std::uint64_t seed) {
           auto* module = dp.add_module<nf::NfModule>(
               id + "_r" + std::to_string(r) + "_gen_steer",
               std::move(steer_nf));
+          rt.nfs.push_back({module, seg.chain, -1});
           if (tail != nullptr) tail->connect(0, module);
           if (head == nullptr) head = module;
           tail = module;
@@ -448,9 +417,11 @@ void Testbed::build_servers(std::uint64_t seed) {
                                std::max(1, seg.cores);
           limit.burst_bits = 2e6;
         }
-        dp.add_task(core, bess::Task(queues[static_cast<std::size_t>(r)],
-                                     head),
-                    limit);
+        dp.add_task(
+            core,
+            bess::Task(rt.queues[first_queue + static_cast<std::size_t>(r)],
+                       head),
+            limit);
       }
     }
   }
@@ -458,15 +429,12 @@ void Testbed::build_servers(std::uint64_t seed) {
 
 void Testbed::build_nics() {
   for (const auto& artifact : artifacts_->nic_programs) {
-    const int server =
-        topo_->smartnics.empty()
-            ? 0
-            : topo_->smartnics[static_cast<std::size_t>(artifact.smartnic)]
-                  .attached_server;
-    auto& rt = nics_[server];
+    const auto& spec =
+        topo_->smartnics[static_cast<std::size_t>(artifact.smartnic)];
+    const auto server = static_cast<std::size_t>(spec.attached_server);
+    auto& rt = servers_[server].nic;
     if (!rt.device) {
-      rt.device = std::make_unique<nic::SmartNic>(
-          topo_->smartnics[static_cast<std::size_t>(artifact.smartnic)]);
+      rt.device = std::make_unique<nic::SmartNic>(spec);
       nic::HelperConfig helpers;
       nf::derive_key_material("lemur-chacha-key", helpers.chacha_key);
       nf::derive_key_material("lemur-nonce", helpers.chacha_nonce);
@@ -476,7 +444,18 @@ void Testbed::build_nics() {
         return;
       }
     }
-    rt.artifacts.push_back(&artifact);
+    // Engine occupancy per packet: the NF's profiled cycles at the
+    // device's speed-up over a core of the attached server.
+    const auto& node = (*chains_)[static_cast<std::size_t>(artifact.chain)]
+                           .graph.node(artifact.node);
+    const auto cost_cycles = nf::effective_cycle_cost(node.type, node.config);
+    const auto cost_ns = static_cast<std::uint64_t>(
+        static_cast<double>(cost_cycles) /
+        (topo_->servers[server].clock_ghz *
+         rt.device->spec().speedup_vs_core));
+    rt.nfs.push_back(
+        {&artifact, cost_cycles, cost_ns,
+         "fault.smartnic" + std::to_string(artifact.smartnic) + ".drops"});
   }
 }
 
@@ -495,51 +474,25 @@ void Testbed::build_openflow() {
   }
 }
 
-void Testbed::count_fault_drop(const net::Packet& pkt,
-                               net::HopPlatform platform,
-                               const std::string& element) {
-  count_drop(pkt, platform, telemetry::DropCause::kFault);
-  // The per-element counter is the recovery controller's localization
-  // signal: a ledger spike says *that* something died, this says *what*.
-  metrics_.counter("fault." + element + ".drops").add(1);
-}
-
-void Testbed::flush_server(int s, telemetry::DropCause cause,
-                           const char* element) {
-  auto& rt = servers_[static_cast<std::size_t>(s)];
+std::uint64_t Testbed::flush_server(ServerRt& rt,
+                                    telemetry::DropCause cause) {
   std::uint64_t flushed = 0;
   auto charge = [&](net::Packet&& pkt, net::HopPlatform platform) {
-    count_drop(pkt, platform, cause);
+    drop(std::move(pkt), platform, cause);
     ++flushed;
-    pool_.release(std::move(pkt));
   };
-  if (rt.source) {
-    for (auto& [ready, pkt] : rt.source->take_all()) {
-      charge(std::move(pkt), net::HopPlatform::kWire);
-    }
+  for (auto& [ready, pkt] : rt.source->take_all()) {
+    charge(std::move(pkt), net::HopPlatform::kWire);
   }
-  if (rt.dataplane) {
-    for (auto& module : rt.dataplane->modules()) {
-      if (auto* q = dynamic_cast<bess::Queue*>(module.get())) {
-        for (auto& pkt : q->take_all()) {
-          charge(std::move(pkt), net::HopPlatform::kServer);
-        }
-      }
-    }
-  }
-  if (rt.sink) {
-    for (auto& [t, pkt] : rt.sink->drain()) {
+  for (auto* queue : rt.queues) {
+    for (auto& pkt : queue->take_all()) {
       charge(std::move(pkt), net::HopPlatform::kServer);
     }
   }
-  if (flushed == 0) return;
-  if (cause == telemetry::DropCause::kRecovery) {
-    recovery_flush_drops_ += flushed;
+  for (auto& [t, pkt] : rt.sink->drain()) {
+    charge(std::move(pkt), net::HopPlatform::kServer);
   }
-  if (element != nullptr) {
-    metrics_.counter(std::string("fault.") + element + ".drops")
-        .add(flushed);
-  }
+  return flushed;
 }
 
 void Testbed::apply_fault_onsets(std::uint64_t now_ns) {
@@ -551,9 +504,10 @@ void Testbed::apply_fault_onsets(std::uint64_t now_ns) {
     }
     server_dead_[s] = 1;
     // Everything resident on the dying server is lost right now.
-    const std::string element = "server" + std::to_string(s);
-    flush_server(static_cast<int>(s), telemetry::DropCause::kFault,
-                 element.c_str());
+    auto& rt = servers_[s];
+    const std::uint64_t flushed =
+        flush_server(rt, telemetry::DropCause::kFault);
+    if (flushed > 0) metrics_.counter(rt.server_fault).add(flushed);
   }
 }
 
@@ -564,36 +518,24 @@ void Testbed::set_chain_shed(int chain, bool shed) {
 
 void Testbed::export_nf_state() {
   exported_state_.clear();
-  for (auto& rt : servers_) {
-    if (!rt.dataplane) continue;
-    for (auto& module : rt.dataplane->modules()) {
-      auto* nf_module = dynamic_cast<nf::NfModule*>(module.get());
-      if (nf_module == nullptr || !nf_module->nf().has_state()) continue;
-      int chain = -1;
-      const int node_id =
-          parse_module_node(*chains_, module->name(), &chain);
-      if (node_id < 0) continue;
+  for (const auto& rt : servers_) {
+    for (const auto& nf : rt.nfs) {
+      if (nf.node < 0 || !nf.module->nf().has_state()) continue;
       // Replicas of the same logical NF append their blocks to one
       // snapshot; importers scan the concatenation and keep what is
       // theirs (the NAT filters by port partition).
-      nf_module->nf().export_state(exported_state_[{chain, node_id}]);
+      nf.module->nf().export_state(exported_state_[{nf.chain, nf.node}]);
     }
   }
 }
 
 void Testbed::import_nf_state() {
-  for (auto& rt : servers_) {
-    if (!rt.dataplane) continue;
-    for (auto& module : rt.dataplane->modules()) {
-      auto* nf_module = dynamic_cast<nf::NfModule*>(module.get());
-      if (nf_module == nullptr || !nf_module->nf().has_state()) continue;
-      int chain = -1;
-      const int node_id =
-          parse_module_node(*chains_, module->name(), &chain);
-      if (node_id < 0) continue;
-      const auto it = exported_state_.find({chain, node_id});
+  for (const auto& rt : servers_) {
+    for (const auto& nf : rt.nfs) {
+      if (nf.node < 0 || !nf.module->nf().has_state()) continue;
+      const auto it = exported_state_.find({nf.chain, nf.node});
       if (it == exported_state_.end() || it->second.empty()) continue;
-      nf_module->nf().import_state(it->second.data(), it->second.size());
+      nf.module->nf().import_state(it->second.data(), it->second.size());
     }
   }
 }
@@ -603,28 +545,18 @@ bool Testbed::swap_plan(const std::vector<chain::ChainSpec>& chains,
                         const metacompiler::CompiledArtifacts& artifacts,
                         const topo::Topology& topo, std::uint64_t now_ns,
                         std::string* error) {
-  // Verify first: a plan that fails verification must never evict the
-  // one that is running.
+  // Verify first, and only here: a plan that fails verification must
+  // never evict the one that is running, and build() trusts this check.
+  std::string refused;
   if (!artifacts.ok) {
-    if (error != nullptr) {
-      *error = "artifacts not compiled: " + artifacts.error;
-    }
-    return false;
+    refused = "artifacts not compiled: " + artifacts.error;
+  } else if (const auto report = verify::verify_artifacts(
+                 chains, placement, artifacts, topo);
+             report.has_errors()) {
+    refused = "swap refused: " + first_error(report);
   }
-  const auto report =
-      verify::verify_artifacts(chains, placement, artifacts, topo);
-  if (report.has_errors()) {
-    if (error != nullptr) {
-      const auto* first = &report.diagnostics.front();
-      for (const auto& d : report.diagnostics) {
-        if (d.severity == verify::Severity::kError) {
-          first = &d;
-          break;
-        }
-      }
-      *error = "swap refused: [" + first->rule + "] " + first->locus +
-               ": " + first->message;
-    }
+  if (!refused.empty()) {
+    if (error != nullptr) *error = std::move(refused);
     return false;
   }
 
@@ -637,33 +569,30 @@ bool Testbed::swap_plan(const std::vector<chain::ChainSpec>& chains,
   // and conservation still holds. Untagged packets are fresh arrivals
   // that simply re-enter through the new ToR program.
   std::deque<std::pair<std::uint64_t, net::Packet>> keep;
-  std::uint64_t flushed = 0;
   for (auto& [ready, pkt] : to_switch_) {
     const auto* layers = pkt.layers();
     if (layers != nullptr && layers->nsh) {
-      count_drop(pkt, net::HopPlatform::kTor,
-                 telemetry::DropCause::kRecovery);
-      ++flushed;
-      pool_.release(std::move(pkt));
+      drop(std::move(pkt), net::HopPlatform::kTor,
+           telemetry::DropCause::kRecovery);
+      ++recovery_flush_drops_;
     } else {
       keep.emplace_back(ready, std::move(pkt));
     }
   }
   to_switch_ = std::move(keep);
-  recovery_flush_drops_ += flushed;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    flush_server(static_cast<int>(s), telemetry::DropCause::kRecovery,
-                 nullptr);
+  for (auto& rt : servers_) {
+    recovery_flush_drops_ +=
+        flush_server(rt, telemetry::DropCause::kRecovery);
   }
 
-  // Atomic cutover: repoint the live plan and rebuild the rack. The
-  // verifier already accepted this plan, so deploy() can only fail on a
-  // compile regression — surfaced via error_/ok() like a ctor failure.
+  // Atomic cutover: repoint the live plan and rebuild the rack. build()
+  // can only fail on a platform compile regression — surfaced via
+  // error_/ok() like a ctor failure.
   chains_ = &chains;
   placement_ = &placement;
   artifacts_ = &artifacts;
   topo_ = &topo;
-  deploy();
+  build();
   if (!ok()) {
     if (error != nullptr) *error = error_;
     return false;
@@ -703,26 +632,21 @@ void Testbed::deliver(net::Packet&& pkt, std::uint64_t ready_ns) {
 
 void Testbed::to_server(net::Packet&& pkt, int server,
                         std::uint64_t ready_ns) {
+  const auto& rt = servers_[static_cast<std::size_t>(server)];
   // Injected faults intercept the packet before it reaches the NIC/wire.
   if (server_dead_[static_cast<std::size_t>(server)] ||
       (faults_ != nullptr && faults_->server_dead(server, ready_ns))) {
-    count_fault_drop(pkt, net::HopPlatform::kServer,
-                     "server" + std::to_string(server));
-    pool_.release(std::move(pkt));
+    fault_drop(std::move(pkt), net::HopPlatform::kServer, rt.server_fault);
     return;
   }
   if (faults_ != nullptr && faults_->tor_link_down(server, ready_ns)) {
-    count_fault_drop(pkt, net::HopPlatform::kWire,
-                     "link" + std::to_string(server));
-    pool_.release(std::move(pkt));
+    fault_drop(std::move(pkt), net::HopPlatform::kWire, rt.link_fault);
     return;
   }
   if (faults_ != nullptr) {
     switch (faults_->wire_impairment(server, ready_ns)) {
       case FaultScheduler::Impairment::kCorrupt:
-        count_fault_drop(pkt, net::HopPlatform::kWire,
-                         "wire" + std::to_string(server));
-        pool_.release(std::move(pkt));
+        fault_drop(std::move(pkt), net::HopPlatform::kWire, rt.wire_fault);
         return;
       case FaultScheduler::Impairment::kDuplicate: {
         // The clone is extra offered load (conservation: both copies are
@@ -749,220 +673,149 @@ void Testbed::to_server(net::Packet&& pkt, int server,
 
 void Testbed::inject_server(net::Packet&& pkt, int server,
                             std::uint64_t ready_ns) {
-  // In-line SmartNIC first.
-  auto nic_it = nics_.find(server);
-  if (nic_it != nics_.end()) {
+  auto& rt = servers_[static_cast<std::size_t>(server)];
+  // In-line SmartNIC first: it runs the NF whose segment the packet's
+  // NSH header names, if one is placed on it.
+  const NicNfRt* nic_nf = nullptr;
+  if (!rt.nic.nfs.empty()) {
     const auto* layers = pkt.layers();
     if (layers != nullptr && layers->nsh) {
-      for (const auto* artifact : nic_it->second.artifacts) {
-        if (artifact->spi_in != layers->nsh->spi ||
-            artifact->si_in != layers->nsh->si) {
-          continue;
+      for (const auto& nf : rt.nic.nfs) {
+        if (nf.artifact->spi_in == layers->nsh->spi &&
+            nf.artifact->si_in == layers->nsh->si) {
+          nic_nf = &nf;
+          break;
         }
-        if (faults_ != nullptr &&
-            faults_->nic_dead(artifact->smartnic, ready_ns)) {
-          count_fault_drop(pkt, net::HopPlatform::kSmartNic,
-                           "smartnic" + std::to_string(artifact->smartnic));
-          pool_.release(std::move(pkt));
-          return;
-        }
-        auto& rt = nic_it->second;
-        // Engine occupancy: serialized packet processing.
-        const auto& spec = rt.device->spec();
-        const auto& server_spec =
-            topo_->servers[static_cast<std::size_t>(server)];
-        const auto& node = (*chains_)[static_cast<std::size_t>(artifact->chain)]
-                               .graph.node(artifact->node);
-        const auto cost_cycles =
-            nf::effective_cycle_cost(node.type, node.config);
-        const auto cost_ns = static_cast<std::uint64_t>(
-            static_cast<double>(cost_cycles) /
-            (server_spec.clock_ghz * spec.speedup_vs_core));
-        const std::uint64_t start = std::max(ready_ns, rt.engine_free_ns);
-        if (start - ready_ns > 1'000'000) {  // >1ms backlog: overload.
-          count_drop(pkt, net::HopPlatform::kSmartNic,
-                     telemetry::DropCause::kQueueOverflow);
-          pool_.release(std::move(pkt));
-          return;
-        }
-        rt.engine_free_ns = start + cost_ns;
-        ++rt.packets;
-        rt.device->process(pkt, cost_cycles);
-        if (pkt.drop) {
-          count_drop(pkt, net::HopPlatform::kSmartNic,
-                     telemetry::DropCause::kNfVerdict);
-          pool_.release(std::move(pkt));
-          return;
-        }
-        net::set_nsh(pkt, artifact->spi_out, artifact->si_out);
-        const std::uint64_t done = rt.engine_free_ns;
-        if (tracing_) {
-          net::PacketHop hop;
-          hop.platform = net::HopPlatform::kSmartNic;
-          hop.id = static_cast<std::uint16_t>(artifact->smartnic);
-          hop.spi = artifact->spi_in;
-          hop.si = artifact->si_in;
-          hop.enter_ns = pkt.hops.empty() ? pkt.arrival_ns
-                                          : pkt.hops.back().exit_ns;
-          hop.exit_ns = std::max(hop.enter_ns, done);
-          pkt.hops.push_back(hop);
-        }
-        const auto ep =
-            endpoints_.find(endpoint_key(artifact->spi_out,
-                                         artifact->si_out));
-        if (ep != endpoints_.end() &&
-            ep->second.target == placer::Target::kServer &&
-            ep->second.server == server) {
-          open_server_hop(pkt, server, artifact->spi_out,
-                          artifact->si_out);
-          const std::uint32_t aggregate = pkt.aggregate_id;
-          if (!servers_[static_cast<std::size_t>(server)].source->push(
-                  std::move(pkt), done)) {
-            drop_ledger_.add(chain_of(aggregate), net::HopPlatform::kWire,
-                             telemetry::DropCause::kQueueOverflow);
-          }
-        } else {
-          to_switch_.emplace_back(
-              done + static_cast<std::uint64_t>(
-                         topo_->bounce_latency_us * 1000),
-              std::move(pkt));
-        }
-        return;
       }
     }
   }
-  open_server_hop(pkt, server);
-  const std::uint32_t aggregate = pkt.aggregate_id;
-  if (!servers_[static_cast<std::size_t>(server)].source->push(
-          std::move(pkt), ready_ns)) {
-    drop_ledger_.add(chain_of(aggregate), net::HopPlatform::kWire,
-                     telemetry::DropCause::kQueueOverflow);
+  if (nic_nf != nullptr) {
+    const auto& artifact = *nic_nf->artifact;
+    if (faults_ != nullptr && faults_->nic_dead(artifact.smartnic, ready_ns)) {
+      fault_drop(std::move(pkt), net::HopPlatform::kSmartNic,
+                 nic_nf->fault_counter);
+      return;
+    }
+    // Engine occupancy: serialized packet processing.
+    const std::uint64_t start = std::max(ready_ns, rt.nic.engine_free_ns);
+    if (start - ready_ns > 1'000'000) {  // >1ms backlog: overload.
+      drop(std::move(pkt), net::HopPlatform::kSmartNic,
+           telemetry::DropCause::kQueueOverflow);
+      return;
+    }
+    rt.nic.engine_free_ns = start + nic_nf->cost_ns;
+    ++rt.nic.packets;
+    // Traced before processing, so the hop carries the segment it runs.
+    trace_hop(pkt, net::HopPlatform::kSmartNic,
+              static_cast<std::uint16_t>(artifact.smartnic),
+              rt.nic.engine_free_ns);
+    rt.nic.device->process(pkt, nic_nf->cost_cycles);
+    if (pkt.drop) {
+      drop(std::move(pkt), net::HopPlatform::kSmartNic,
+           telemetry::DropCause::kNfVerdict);
+      return;
+    }
+    net::set_nsh(pkt, artifact.spi_out, artifact.si_out);
+    ready_ns = rt.nic.engine_free_ns;
+    const auto ep =
+        endpoints_.find(endpoint_key(artifact.spi_out, artifact.si_out));
+    const bool local = ep != endpoints_.end() &&
+                       ep->second.target == placer::Target::kServer &&
+                       ep->second.server == server;
+    if (!local) {
+      to_switch_.emplace_back(ready_ns + bounce_ns_, std::move(pkt));
+      return;
+    }
   }
+  trace_hop(pkt, net::HopPlatform::kServer,
+            static_cast<std::uint16_t>(server), 0);
+  if (rt.source->full()) {
+    drop(std::move(pkt), net::HopPlatform::kWire,
+         telemetry::DropCause::kQueueOverflow);
+    return;
+  }
+  rt.source->push(std::move(pkt), ready_ns);
 }
 
 void Testbed::through_openflow(net::Packet&& pkt, std::uint64_t ready_ns) {
   if (faults_ != nullptr && faults_->openflow_down(ready_ns)) {
-    count_fault_drop(pkt, net::HopPlatform::kOpenFlow, "openflow");
-    pool_.release(std::move(pkt));
-    return;
-  }
-  if (!of_switch_) {
-    count_drop(pkt, net::HopPlatform::kOpenFlow,
-               telemetry::DropCause::kRoutingMiss);
-    pool_.release(std::move(pkt));
-    return;
-  }
-  const auto* layers = pkt.layers();
-  if (layers == nullptr || !layers->nsh) {
-    count_drop(pkt, net::HopPlatform::kOpenFlow,
-               telemetry::DropCause::kRoutingMiss);
-    pool_.release(std::move(pkt));
+    fault_drop(std::move(pkt), net::HopPlatform::kOpenFlow,
+               "fault.openflow.drops");
     return;
   }
   const metacompiler::OfArtifact* artifact = nullptr;
-  for (const auto& a : artifacts_->of_rules) {
-    if (a.spi_in == layers->nsh->spi && a.si_in == layers->nsh->si) {
-      artifact = &a;
+  const auto* layers = of_switch_ ? pkt.layers() : nullptr;
+  if (layers != nullptr && layers->nsh) {
+    for (const auto& a : artifacts_->of_rules) {
+      if (a.spi_in == layers->nsh->spi && a.si_in == layers->nsh->si) {
+        artifact = &a;
+      }
     }
   }
   if (artifact == nullptr) {
-    count_drop(pkt, net::HopPlatform::kOpenFlow,
-               telemetry::DropCause::kRoutingMiss);
-    pool_.release(std::move(pkt));
+    drop(std::move(pkt), net::HopPlatform::kOpenFlow,
+         telemetry::DropCause::kRoutingMiss);
     return;
   }
+  const std::uint64_t out_ns = ready_ns + 2 * bounce_ns_;
+  // Traced before the VLAN rewrite, so the hop carries the segment it runs.
+  trace_hop(pkt, net::HopPlatform::kOpenFlow, 0, out_ns);
   // NSH -> VLAN at the OF boundary (the OF ASIC has no NSH support).
   net::pop_nsh(pkt);
   net::push_vlan(pkt, artifact->vid_in);
-  const auto result = of_switch_->process(pkt);
-  if (result.dropped) {
-    count_drop(pkt, net::HopPlatform::kOpenFlow,
-               telemetry::DropCause::kNfVerdict);
-    pool_.release(std::move(pkt));
+  if (of_switch_->process(pkt).dropped) {
+    drop(std::move(pkt), net::HopPlatform::kOpenFlow,
+         telemetry::DropCause::kNfVerdict);
     return;
   }
   net::pop_vlan(pkt);
   net::push_nsh(pkt, artifact->spi_out, artifact->si_out);
-  const std::uint64_t out_ns =
-      ready_ns + 2 * static_cast<std::uint64_t>(
-                         topo_->bounce_latency_us * 1000);
-  if (tracing_) {
-    net::PacketHop hop;
-    hop.platform = net::HopPlatform::kOpenFlow;
-    hop.id = 0;
-    hop.spi = artifact->spi_in;
-    hop.si = artifact->si_in;
-    hop.enter_ns =
-        pkt.hops.empty() ? pkt.arrival_ns : pkt.hops.back().exit_ns;
-    hop.exit_ns = std::max(hop.enter_ns, out_ns);
-    pkt.hops.push_back(hop);
-  }
   to_switch_.emplace_back(out_ns, std::move(pkt));
 }
 
 void Testbed::route_from_switch(net::Packet&& pkt,
                                 std::uint32_t egress_port,
                                 std::uint64_t ready_ns) {
-  metacompiler::PortMap ports;
-  if (egress_port == ports.network_egress) {
+  if (egress_port == kPorts.network_egress) {
     deliver(std::move(pkt), ready_ns);
-    return;
-  }
-  if (egress_port == ports.of_switch) {
+  } else if (egress_port == kPorts.of_switch) {
     through_openflow(std::move(pkt), ready_ns);
-    return;
+  } else if (const auto it = server_of_port_.find(egress_port);
+             it != server_of_port_.end()) {
+    to_server(std::move(pkt), it->second, ready_ns + bounce_ns_);
+  } else {
+    drop(std::move(pkt), net::HopPlatform::kTor,
+         telemetry::DropCause::kRoutingMiss);  // Unknown port.
   }
-  for (std::size_t s = 0; s < topo_->servers.size(); ++s) {
-    if (egress_port == ports.server(static_cast<int>(s))) {
-      const std::uint64_t bounce =
-          static_cast<std::uint64_t>(topo_->bounce_latency_us * 1000);
-      to_server(std::move(pkt), static_cast<int>(s), ready_ns + bounce);
-      return;
-    }
-  }
-  count_drop(pkt, net::HopPlatform::kTor,
-             telemetry::DropCause::kRoutingMiss);  // Unknown port.
-  pool_.release(std::move(pkt));
 }
 
 void Testbed::sample_queue_depths() {
-  metrics_.gauge("tor.backlog").set(static_cast<double>(to_switch_.size()));
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    const auto& rt = servers_[s];
-    if (!rt.dataplane) continue;
-    const std::string prefix = "server" + std::to_string(s);
-    const auto wire_depth = rt.source ? rt.source->depth() : 0;
-    metrics_.gauge(prefix + ".wire_depth")
-        .set(static_cast<double>(wire_depth));
-    metrics_.histogram(prefix + ".wire_depth").record(wire_depth);
+  tor_backlog_->set(static_cast<double>(to_switch_.size()));
+  for (const auto& rt : servers_) {
+    rt.wire_depth.record(rt.source->depth());
     std::uint64_t queued = 0;
-    for (const auto& module : rt.dataplane->modules()) {
-      if (const auto* q = dynamic_cast<const bess::Queue*>(module.get())) {
-        queued += q->depth();
-      }
-    }
-    metrics_.gauge(prefix + ".queue_depth")
-        .set(static_cast<double>(queued));
-    metrics_.histogram(prefix + ".queue_depth").record(queued);
+    for (const auto* queue : rt.queues) queued += queue->depth();
+    rt.queue_depth.record(queued);
   }
 }
 
 void Testbed::sweep_module_drops() {
+  auto sweep = [this](const bess::Module& module,
+                      telemetry::DropCause cause) {
+    for (const auto& [aggregate, n] : module.drops_by_aggregate()) {
+      drop_ledger_.add(chain_of(aggregate), net::HopPlatform::kServer, cause,
+                       n);
+    }
+  };
   for (const auto& rt : servers_) {
-    if (!rt.dataplane) continue;
-    for (const auto& module : rt.dataplane->modules()) {
-      if (module->drops_total() == 0) continue;
-      telemetry::DropCause cause = telemetry::DropCause::kRoutingMiss;
-      if (dynamic_cast<const bess::Queue*>(module.get()) != nullptr) {
-        cause = telemetry::DropCause::kQueueOverflow;
-      } else if (dynamic_cast<const nf::NfModule*>(module.get()) !=
-                 nullptr) {
-        cause = telemetry::DropCause::kNfVerdict;
-      }
-      for (const auto& [aggregate, n] : module->drops_by_aggregate()) {
-        drop_ledger_.add(chain_of(aggregate), net::HopPlatform::kServer,
-                         cause, n);
-      }
+    if (rt.demux != nullptr) {
+      sweep(*rt.demux, telemetry::DropCause::kRoutingMiss);
+    }
+    for (const auto* queue : rt.queues) {
+      sweep(*queue, telemetry::DropCause::kQueueOverflow);
+    }
+    for (const auto& nf : rt.nfs) {
+      sweep(*nf.module, telemetry::DropCause::kNfVerdict);
     }
   }
 }
@@ -975,17 +828,12 @@ void Testbed::sweep_residuals(Measurement& out) {
   };
   for (const auto& [ready, pkt] : to_switch_) credit(pkt.aggregate_id, 1);
   for (const auto& rt : servers_) {
-    if (rt.source) {
-      for (const auto& [aggregate, n] : rt.source->residents_by_aggregate()) {
-        credit(aggregate, n);
-      }
+    for (const auto& [aggregate, n] : rt.source->residents_by_aggregate()) {
+      credit(aggregate, n);
     }
-    if (!rt.dataplane) continue;
-    for (const auto& module : rt.dataplane->modules()) {
-      if (const auto* q = dynamic_cast<const bess::Queue*>(module.get())) {
-        for (const auto& [aggregate, n] : q->residents_by_aggregate()) {
-          credit(aggregate, n);
-        }
+    for (const auto* queue : rt.queues) {
+      for (const auto& [aggregate, n] : queue->residents_by_aggregate()) {
+        credit(aggregate, n);
       }
     }
   }
@@ -996,41 +844,22 @@ std::vector<telemetry::MeasuredNfProfile> Testbed::measured_nf_profiles()
   // Aggregate replicas of the same (chain, node) into one row.
   std::map<std::pair<int, int>, telemetry::MeasuredNfProfile> rows;
   for (const auto& rt : servers_) {
-    if (!rt.dataplane) continue;
-    for (const auto& module : rt.dataplane->modules()) {
-      const auto* nf_module =
-          dynamic_cast<const nf::NfModule*>(module.get());
-      if (nf_module == nullptr || nf_module->packets_in() == 0) continue;
-      // Module names are "c<chain>_s<seg>_r<replica>_<instance>".
-      int chain = -1, seg = -1, replica = -1, consumed = 0;
-      if (std::sscanf(module->name().c_str(), "c%d_s%d_r%d_%n", &chain,
-                      &seg, &replica, &consumed) != 3 ||
-          consumed == 0) {
-        continue;
-      }
-      const std::string instance = module->name().substr(
-          static_cast<std::size_t>(consumed));
-      const auto& graph = (*chains_)[static_cast<std::size_t>(chain)].graph;
-      int node_id = -1;
-      for (const auto& node : graph.nodes()) {
-        if (node.instance_name == instance) {
-          node_id = node.id;
-          break;
-        }
-      }
-      if (node_id < 0) continue;  // Generated steering, not a chain NF.
-      auto& row = rows[{chain, node_id}];
+    for (const auto& nf : rt.nfs) {
+      if (nf.node < 0 || nf.module->packets_in() == 0) continue;
+      auto& row = rows[{nf.chain, nf.node}];
       if (row.packets == 0) {
-        row.chain = chain;
-        row.node = node_id;
-        row.type = nf_module->nf().type();
-        row.name = instance;
+        row.chain = nf.chain;
+        row.node = nf.node;
+        row.type = nf.module->nf().type();
+        row.name = (*chains_)[static_cast<std::size_t>(nf.chain)]
+                       .graph.node(nf.node)
+                       .instance_name;
         row.platform = net::HopPlatform::kServer;
       }
       const double total =
           row.cycles_per_packet * static_cast<double>(row.packets) +
-          static_cast<double>(nf_module->cycles_charged());
-      row.packets += nf_module->packets_in();
+          static_cast<double>(nf.module->cycles_charged());
+      row.packets += nf.module->packets_in();
       row.cycles_per_packet = total / static_cast<double>(row.packets);
     }
   }
@@ -1039,19 +868,19 @@ std::vector<telemetry::MeasuredNfProfile> Testbed::measured_nf_profiles()
   for (auto& [key, row] : rows) out.push_back(std::move(row));
   // NIC-placed NFs: the engine charges the profiled cost exactly, so the
   // measured profile is the charge itself, at the device's packet count.
-  for (const auto& [server, rt] : nics_) {
-    for (const auto* artifact : rt.artifacts) {
-      const auto& node = (*chains_)[static_cast<std::size_t>(artifact->chain)]
-                             .graph.node(artifact->node);
+  for (const auto& rt : servers_) {
+    for (const auto& nf : rt.nic.nfs) {
+      const auto& artifact = *nf.artifact;
       telemetry::MeasuredNfProfile row;
-      row.chain = artifact->chain;
-      row.node = artifact->node;
-      row.type = artifact->type;
-      row.name = node.instance_name;
+      row.chain = artifact.chain;
+      row.node = artifact.node;
+      row.type = artifact.type;
+      row.name = (*chains_)[static_cast<std::size_t>(artifact.chain)]
+                     .graph.node(artifact.node)
+                     .instance_name;
       row.platform = net::HopPlatform::kSmartNic;
-      row.packets = rt.packets;
-      row.cycles_per_packet = static_cast<double>(
-          nf::effective_cycle_cost(node.type, node.config));
+      row.packets = rt.nic.packets;
+      row.cycles_per_packet = static_cast<double>(nf.cost_cycles);
       out.push_back(std::move(row));
     }
   }
@@ -1112,39 +941,32 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
       }
       // Admission control for shed chains: still offered, dropped at the
       // ToR with an explicit degradation cause.
-      const int c = chain_of(pkt.aggregate_id);
-      if (shed_[static_cast<std::size_t>(c)] != 0) {
-        drop_ledger_.add(c, net::HopPlatform::kTor,
-                         telemetry::DropCause::kAdmissionShed);
-        pool_.release(std::move(pkt));
+      if (shed_[static_cast<std::size_t>(chain_of(pkt.aggregate_id))] != 0) {
+        drop(std::move(pkt), net::HopPlatform::kTor,
+             telemetry::DropCause::kAdmissionShed);
         continue;
       }
       const auto result = tor_->process(pkt);
       if (result.dropped) {
-        count_drop(pkt, net::HopPlatform::kTor,
-                   classify_tor_drop(result.drop_table));
-        pool_.release(std::move(pkt));
+        drop(std::move(pkt), net::HopPlatform::kTor,
+             classify_tor_drop(result.drop_table));
         continue;
       }
-      append_hop(pkt, net::HopPlatform::kTor, 0, ready);
+      trace_hop(pkt, net::HopPlatform::kTor, 0, ready);
       route_from_switch(std::move(pkt), result.egress_port, ready);
     }
     to_switch_ = std::move(later);
     // 3. Server dataplanes advance to the quantum boundary (dead servers
     // execute nothing).
     for (std::size_t s = 0; s < servers_.size(); ++s) {
-      auto& rt = servers_[s];
-      if (rt.dataplane && server_dead_[s] == 0) {
-        rt.dataplane->run_until_ns(quantum_end);
+      if (server_dead_[s] == 0) {
+        servers_[s].dataplane->run_until_ns(quantum_end);
       }
     }
     // 4. Server egress returns to the ToR after a bounce.
-    const std::uint64_t bounce =
-        static_cast<std::uint64_t>(topo_->bounce_latency_us * 1000);
     for (auto& rt : servers_) {
-      if (!rt.sink) continue;
       for (auto& [t, pkt] : rt.sink->drain()) {
-        to_switch_.emplace_back(t + bounce, std::move(pkt));
+        to_switch_.emplace_back(t + bounce_ns_, std::move(pkt));
       }
     }
     sample_queue_depths();
@@ -1152,7 +974,7 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
     // when it decides to, swaps the plan in the gap between quanta.
     if (recovery_ != nullptr) {
       recovery_->on_quantum(*this, quantum_end);
-      if (!ok()) break;  // A swap's deploy() failed; abort the run.
+      if (!ok()) break;  // A swap's build() failed; abort the run.
     }
     now = quantum_end;
   }

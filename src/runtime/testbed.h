@@ -39,6 +39,13 @@
 #include "src/telemetry/slo_monitor.h"
 #include "src/telemetry/trace.h"
 
+namespace lemur::bess {
+class Queue;
+}  // namespace lemur::bess
+namespace lemur::nf {
+class NfModule;
+}  // namespace lemur::nf
+
 namespace lemur::runtime {
 
 class Testbed;
@@ -258,49 +265,85 @@ class Testbed {
  private:
   struct Endpoint {
     placer::Target target = placer::Target::kServer;
-    int server = 0;
+    int server = 0;  ///< Read only for kServer targets.
   };
 
   class WireSource;
   class ReturnSink;
 
+  /// One sampled occupancy series: last value + max, and its histogram.
+  struct DepthSeries {
+    telemetry::Gauge* gauge = nullptr;
+    telemetry::LatencyHistogram* histogram = nullptr;
+    void record(std::uint64_t depth) const {
+      gauge->set(static_cast<double>(depth));
+      histogram->record(depth);
+    }
+  };
+
+  /// An NF module with its chain graph coordinates; node -1 marks the
+  /// metacompiler's generated steering, which is no chain NF.
+  struct NfRt {
+    nf::NfModule* module;
+    int chain;
+    int node;
+  };
+
+  /// A NIC-placed NF with its per-packet engine cost.
+  struct NicNfRt {
+    const metacompiler::NicArtifact* artifact;
+    std::uint64_t cost_cycles;
+    std::uint64_t cost_ns;
+    std::string fault_counter;
+  };
+
+  struct NicRt {
+    std::unique_ptr<nic::SmartNic> device;  ///< Null: no in-line NIC.
+    std::vector<NicNfRt> nfs;
+    std::uint64_t engine_free_ns = 0;
+    std::uint64_t packets = 0;  ///< Packets this testbed ran through it.
+  };
+
+  /// One server as the run loop sees it. Everything here is resolved by
+  /// build(), so the loop does no module casts, name parsing or metric
+  /// name building.
   struct ServerRt {
     std::unique_ptr<bess::ServerDataplane> dataplane;
     std::unique_ptr<WireSource> source;
     std::unique_ptr<ReturnSink> sink;
-  };
-
-  struct NicRt {
-    std::unique_ptr<nic::SmartNic> device;
-    std::vector<const metacompiler::NicArtifact*> artifacts;
-    std::uint64_t engine_free_ns = 0;
-    std::uint64_t packets = 0;  ///< Packets this testbed ran through it.
+    NicRt nic;
+    /// The only pipeline module besides queues and NFs that can drop
+    /// (unmapped NSH); encaps, steers and ports have every gate wired.
+    bess::Module* demux = nullptr;
+    std::vector<bess::Queue*> queues;
+    std::vector<NfRt> nfs;  ///< In module creation order.
+    DepthSeries wire_depth;
+    DepthSeries queue_depth;
+    /// Per-element fault counter names ("fault.server<s>.drops", ...).
+    /// Counters are created on the first fault drop: the recovery
+    /// controller treats every fault counter as an element to watch.
+    std::string server_fault, link_fault, wire_fault;
   };
 
   static std::uint64_t endpoint_key(std::uint32_t spi, std::uint8_t si) {
     return (static_cast<std::uint64_t>(spi) << 8) | si;
   }
 
+  /// Builds the whole rack from the current plan, which the caller has
+  /// verified; sets error_ when a platform rejects its artifact.
+  void build();
   void build_endpoints();
   void build_tor();
-  void build_servers(std::uint64_t seed);
+  void build_servers();
   void build_nics();
   void build_openflow();
-  /// Verifies the current plan and builds the whole rack; sets error_ on
-  /// verifier errors. Shared by the ctor and swap_plan().
-  void deploy();
 
   /// Marks newly-dead servers, flushing their wire FIFOs, queues, and
   /// sinks as cause=fault drops.
   void apply_fault_onsets(std::uint64_t now_ns);
-  /// Flushes every in-flight packet on (live) server `s`, charging
-  /// `cause`; `element` labels the per-element fault metrics counter
-  /// (nullptr = no per-element counter).
-  void flush_server(int s, telemetry::DropCause cause, const char* element);
-  /// Drop charged to an injected fault: ledger cause=fault plus the
-  /// per-element counter the controller uses to localize the failure.
-  void count_fault_drop(const net::Packet& pkt, net::HopPlatform platform,
-                        const std::string& element);
+  /// Drops every in-flight packet on a server, charging `cause`; returns
+  /// how many.
+  std::uint64_t flush_server(ServerRt& rt, telemetry::DropCause cause);
   void export_nf_state();
   void import_nf_state();
 
@@ -316,17 +359,19 @@ class Testbed {
 
   /// 0-based chain index for a packet's traffic aggregate.
   [[nodiscard]] int chain_of(std::uint32_t aggregate_id) const;
-  void count_drop(const net::Packet& pkt, net::HopPlatform platform,
-                  telemetry::DropCause cause);
-  /// Appends a hop ending at `exit_ns`; the hop starts where the previous
-  /// one ended (or at arrival), so traces tile by construction.
-  void append_hop(net::Packet& pkt, net::HopPlatform platform,
-                  std::uint16_t id, std::uint64_t exit_ns);
-  /// Opens a server hop (exit filled by the ReturnSink on egress).
-  /// `spi`/`si` label the segment being entered; 0 means "reuse the
-  /// previous hop's coordinates".
-  void open_server_hop(net::Packet& pkt, int server, std::uint32_t spi = 0,
-                       std::uint8_t si = 0);
+  /// Charges a discarded packet to the drop ledger and recycles it.
+  void drop(net::Packet&& pkt, net::HopPlatform platform,
+            telemetry::DropCause cause);
+  /// drop() with cause=fault, plus the per-element counter the recovery
+  /// controller localizes the failure by.
+  void fault_drop(net::Packet&& pkt, net::HopPlatform platform,
+                  const std::string& counter);
+  /// Appends a trace hop labelled with the NSH coordinates the packet
+  /// carries now. It starts where the previous hop ended (or at arrival),
+  /// so traces tile by construction. Server hops stay open (exit 0) until
+  /// the ReturnSink closes them at server egress.
+  void trace_hop(net::Packet& pkt, net::HopPlatform platform,
+                 std::uint16_t id, std::uint64_t exit_ns);
   void sweep_module_drops();
   void sweep_residuals(Measurement& out);
   void sample_queue_depths();
@@ -354,7 +399,8 @@ class Testbed {
   std::map<std::uint64_t, Endpoint> endpoints_;
   std::unique_ptr<pisa::PisaSwitch> tor_;
   std::vector<ServerRt> servers_;
-  std::map<int, NicRt> nics_;  ///< Keyed by attached server.
+  std::map<std::uint32_t, int> server_of_port_;  ///< ToR egress port.
+  std::uint64_t bounce_ns_ = 0;  ///< One switch<->server hand-off.
   std::unique_ptr<openflow::OpenFlowSwitch> of_switch_;
   metacompiler::SegmentIndex segment_index_;
 
@@ -372,7 +418,10 @@ class Testbed {
   std::vector<std::vector<std::uint64_t>> raw_latency_ns_;
   telemetry::DropLedger drop_ledger_;
   telemetry::TraceAggregator traces_;
+  /// Entries are never erased, so handles into it (DepthSeries,
+  /// tor_backlog_) stay valid for the testbed's lifetime.
   telemetry::MetricsRegistry metrics_;
+  telemetry::Gauge* tor_backlog_ = nullptr;
   bool tracing_ = true;
   bool record_raw_latencies_ = false;
 };

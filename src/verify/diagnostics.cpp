@@ -75,6 +75,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "every reachable segment can reach chain egress"},
       {"handoff.spi-si-mismatch", Severity::kError,
        "NIC/OF artifact spi/si in/out match the routing's hand-offs"},
+      {"handoff.unknown-device", Severity::kError,
+       "every NIC artifact targets a SmartNIC of the topology that is "
+       "attached to one of its servers"},
       {"handoff.vid-overflow", Severity::kError,
        "SPI/SI fit the 12-bit OpenFlow VLAN vid without losing bits"},
       {"handoff.vid-mismatch", Severity::kError,

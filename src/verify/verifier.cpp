@@ -295,11 +295,31 @@ const Segment* artifact_segment(const CompiledArtifacts& artifacts,
   return &seg;
 }
 
-void check_handoffs(const CompiledArtifacts& artifacts, Report& report) {
+void check_handoffs(const CompiledArtifacts& artifacts,
+                    const topo::Topology& topo, Report& report) {
   for (const auto& nic : artifacts.nic_programs) {
     const std::string locus = "chain " + std::to_string(nic.chain) +
                               " / nic artifact node " +
                               std::to_string(nic.node);
+    // The runtime loads the program onto this device, in line in front of
+    // the server it is attached to.
+    if (nic.smartnic < 0 ||
+        nic.smartnic >= static_cast<int>(topo.smartnics.size())) {
+      report.add(Severity::kError, "handoff.unknown-device", locus,
+                 "program targets SmartNIC " + std::to_string(nic.smartnic) +
+                     " but the topology has " +
+                     std::to_string(topo.smartnics.size()));
+    } else {
+      const int server =
+          topo.smartnics[static_cast<std::size_t>(nic.smartnic)]
+              .attached_server;
+      if (server < 0 || server >= static_cast<int>(topo.servers.size())) {
+        report.add(Severity::kError, "handoff.unknown-device", locus,
+                   "SmartNIC " + std::to_string(nic.smartnic) +
+                       " is attached to server " + std::to_string(server) +
+                       ", which the topology does not have");
+      }
+    }
     const Segment* seg =
         artifact_segment(artifacts, nic.chain, nic.node,
                          placer::Target::kSmartNic, locus, report);
@@ -858,7 +878,7 @@ Report verify_artifacts(const std::vector<chain::ChainSpec>& chains,
     return report;
   }
   check_nsh_continuity(chains, artifacts, report);
-  check_handoffs(artifacts, report);
+  check_handoffs(artifacts, topo, report);
   check_p4(artifacts, topo, report);
   check_bess(chains, placement, artifacts, topo, report);
   check_slo(chains, placement, report);

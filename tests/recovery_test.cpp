@@ -394,6 +394,44 @@ TEST(Recovery, InfeasibleDegradedRackShedsLowestMarginalChain) {
   expect_conserved(m);
 }
 
+// --- Swap refusal ------------------------------------------------------------
+
+TEST(Recovery, SwapRefusesArtifactsThatFailVerification) {
+  auto s = canonical_scenario({3, 5}, 1.0);
+  Testbed testbed(s.chains, s.placement, s.artifacts, s.topo);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+
+  // The same plan with one hand-off to a segment that does not exist.
+  auto tampered = s.artifacts;
+  metacompiler::SegmentExit* exit = nullptr;
+  for (auto& routing : tampered.routings) {
+    for (auto& seg : routing.segments) {
+      for (auto& e : seg.exits) {
+        if (exit == nullptr && e.next_segment >= 0) exit = &e;
+      }
+    }
+  }
+  ASSERT_NE(exit, nullptr);
+  exit->next_segment = 99;
+
+  std::string error;
+  EXPECT_FALSE(
+      testbed.swap_plan(s.chains, s.placement, tampered, s.topo, 0, &error));
+  EXPECT_EQ(error.rfind("swap refused: [", 0), 0u) << error;
+  EXPECT_TRUE(testbed.ok()) << testbed.error();
+  EXPECT_EQ(testbed.plan_generation(), 0);
+  EXPECT_EQ(testbed.metrics().counters().count("recovery.plan_swaps"), 0u);
+  // Refused before teardown: no state was exported.
+  EXPECT_TRUE(testbed.last_exported_state().empty());
+
+  // The old plan keeps running.
+  const auto m = testbed.run(2.0);
+  expect_conserved(m);
+  for (std::size_t c = 0; c < m.chain_delivered.size(); ++c) {
+    EXPECT_GT(m.chain_delivered[c], 0u) << "chain " << c;
+  }
+}
+
 // --- Oracle caching across re-placements -------------------------------------
 
 TEST(Recovery, IncrementalReplaceHitsTheOracleCache) {

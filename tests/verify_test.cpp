@@ -200,6 +200,22 @@ TEST(VerifierHandoff, NicProgramWithWrongServicePath) {
   EXPECT_TRUE(report.fired("handoff.spi-si-mismatch")) << report.to_string();
 }
 
+TEST(VerifierHandoff, NicArtifactForUnknownSmartNic) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  d.artifacts.nic_programs[0].smartnic = 3;  // The rack has one SmartNIC.
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("handoff.unknown-device")) << report.to_string();
+}
+
+TEST(VerifierHandoff, SmartNicAttachedToUnknownServer) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  d.topo.smartnics[0].attached_server = 5;  // The rack has one server.
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("handoff.unknown-device")) << report.to_string();
+}
+
 TEST(VerifierHandoff, OfArtifactForNodeNotPlacedOnOpenFlow) {
   auto d = compile_canonical({2});
   metacompiler::OfArtifact bogus;
@@ -402,6 +418,16 @@ TEST(VerifierPipeline, TestbedRefusesCorruptArtifacts) {
   runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
   EXPECT_FALSE(testbed.ok());
   EXPECT_NE(testbed.error().find("verifier"), std::string::npos)
+      << testbed.error();
+}
+
+TEST(VerifierPipeline, TestbedRefusesArtifactForUnknownSmartNic) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  d.artifacts.nic_programs[0].smartnic = 3;
+  runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
+  EXPECT_FALSE(testbed.ok());
+  EXPECT_NE(testbed.error().find("handoff.unknown-device"), std::string::npos)
       << testbed.error();
 }
 
