@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build + test twice — a normal RelWithDebInfo build and
 # an ASan/UBSan build (-DLEMUR_SANITIZE="address;undefined") — failing on
-# any compiler warning in either. src/verify additionally builds with
-# -Werror (see src/verify/CMakeLists.txt).
+# any compiler warning in either — then the host-speed gates (telemetry
+# smoke, dataplane micro, failover MTTR) on the normal build. src/verify
+# additionally builds with -Werror (see src/verify/CMakeLists.txt).
 #
 # Builds go into a throwaway temp directory (removed on exit) so CI never
 # pollutes the work tree or reuses a stale cache; set LEMUR_CI_KEEP=1 to
@@ -49,6 +50,12 @@ run_config() {
 }
 
 run_config normal "$ci_root/build"
+run_config sanitize "$ci_root/build-sanitize" \
+  -DLEMUR_SANITIZE="address;undefined"
+
+# Host-speed gates, on the normal build, after both ctest configurations
+# so a slow host cannot keep the sanitizer configuration from running.
+# Each still fails the script.
 
 # Telemetry smoke: fig2 workload with tracing on/off. Fails on broken
 # packet conservation, trace-continuity errors, or >10% tracing
@@ -71,7 +78,4 @@ echo "==== [normal] failover mttr ===="
 (cd "$ci_root/build" &&
  ./bench/failover_mttr --baseline "$repo_root/BENCH_failover.json")
 
-run_config sanitize "$ci_root/build-sanitize" \
-  -DLEMUR_SANITIZE="address;undefined"
-
-echo "==== CI OK: both configurations green ===="
+echo "==== CI OK: both configurations and the host gates green ===="

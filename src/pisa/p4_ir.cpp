@@ -70,7 +70,8 @@ bool TableDef::needs_tcam() const {
   });
 }
 
-bool Condition::eval(std::uint64_t actual) const {
+bool Condition::holds(Cmp cmp, std::uint64_t actual,
+                      std::uint64_t value) {
   switch (cmp) {
     case Cmp::kEq:
       return actual == value;

@@ -138,7 +138,12 @@ struct Condition {
   Cmp cmp = Cmp::kEq;
   std::uint64_t value = 0;
 
-  [[nodiscard]] bool eval(std::uint64_t actual) const;
+  [[nodiscard]] bool eval(std::uint64_t actual) const {
+    return holds(cmp, actual, value);
+  }
+  /// `actual <cmp> value`.
+  [[nodiscard]] static bool holds(Cmp cmp, std::uint64_t actual,
+                                  std::uint64_t value);
 };
 
 /// Conjunction of conditions; empty means "always".

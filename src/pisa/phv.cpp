@@ -1,10 +1,68 @@
 #include "src/pisa/phv.h"
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+#include <utility>
+
 #include "src/net/flow.h"
 
 namespace lemur::pisa {
+namespace {
 
-PhvContext::PhvContext(net::Packet& pkt) : pkt_(pkt) { reparse(); }
+constexpr std::array<std::pair<std::string_view, WireField>, 14> kWireFields{{
+    {"eth.dst", WireField::kEthDst},
+    {"eth.src", WireField::kEthSrc},
+    {"eth.type", WireField::kEthType},
+    {"vlan.vid", WireField::kVlanVid},
+    {"vlan.pcp", WireField::kVlanPcp},
+    {"nsh.spi", WireField::kNshSpi},
+    {"nsh.si", WireField::kNshSi},
+    {"ipv4.src", WireField::kIpv4Src},
+    {"ipv4.dst", WireField::kIpv4Dst},
+    {"ipv4.ttl", WireField::kIpv4Ttl},
+    {"ipv4.proto", WireField::kIpv4Proto},
+    {"ipv4.dscp", WireField::kIpv4Dscp},
+    {"l4.sport", WireField::kL4Sport},
+    {"l4.dport", WireField::kL4Dport},
+}};
+
+std::uint64_t mac_to_u64(const net::MacAddr& mac) {
+  std::uint64_t v = 0;
+  for (std::uint8_t b : mac.bytes) v = (v << 8) | b;
+  return v;
+}
+
+void u64_to_mac(std::uint64_t v, net::MacAddr& mac) {
+  for (int i = 5; i >= 0; --i) {
+    mac.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
+    v >>= 8;
+  }
+}
+
+}  // namespace
+
+FieldResolver::FieldResolver() {
+  slots_.emplace("std.drop", kDropSlot);
+  slots_.emplace("std.egress_port", kEgressSlot);
+}
+
+FieldRef FieldResolver::resolve(const std::string& name) {
+  if (name.starts_with("meta.") || name.starts_with("std.")) {
+    const auto next = static_cast<std::uint16_t>(slots_.size());
+    return FieldRef::slot(slots_.try_emplace(name, next).first->second);
+  }
+  for (const auto& [wire_name, field] : kWireFields) {
+    if (name == wire_name) return FieldRef::wire(field);
+  }
+  return {};
+}
+
+PhvContext::PhvContext(net::Packet& pkt, std::span<std::uint64_t> slots)
+    : pkt_(pkt), slots_(slots) {
+  std::fill(slots_.begin(), slots_.end(), 0);
+  reparse();
+}
 
 void PhvContext::reparse() {
   const auto* parsed = pkt_.layers();
@@ -13,94 +71,102 @@ void PhvContext::reparse() {
   dirty_ = false;
 }
 
-std::uint64_t PhvContext::mac_to_u64(const net::MacAddr& mac) const {
-  std::uint64_t v = 0;
-  for (std::uint8_t b : mac.bytes) v = (v << 8) | b;
-  return v;
-}
-
-void PhvContext::u64_to_mac(std::uint64_t v, net::MacAddr& mac) const {
-  for (int i = 5; i >= 0; --i) {
-    mac.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
-}
-
-std::uint64_t PhvContext::get(const std::string& field) const {
-  if (field.starts_with("meta.") || field.starts_with("std.")) {
-    auto it = meta_.find(field);
-    return it == meta_.end() ? 0 : it->second;
-  }
+std::uint64_t PhvContext::get_wire(WireField field) const {
   if (!parsed_ok_) return 0;
-  if (field == "eth.dst") return mac_to_u64(layers_.eth.dst);
-  if (field == "eth.src") return mac_to_u64(layers_.eth.src);
-  if (field == "eth.type") return layers_.eth.ether_type;
-  if (layers_.vlan) {
-    if (field == "vlan.vid") return layers_.vlan->vid;
-    if (field == "vlan.pcp") return layers_.vlan->pcp;
-  }
-  if (layers_.nsh) {
-    if (field == "nsh.spi") return layers_.nsh->spi;
-    if (field == "nsh.si") return layers_.nsh->si;
-  }
-  if (layers_.ipv4) {
-    if (field == "ipv4.src") return layers_.ipv4->src.value;
-    if (field == "ipv4.dst") return layers_.ipv4->dst.value;
-    if (field == "ipv4.ttl") return layers_.ipv4->ttl;
-    if (field == "ipv4.proto") return layers_.ipv4->protocol;
-    if (field == "ipv4.dscp") return layers_.ipv4->dscp;
-  }
-  if (layers_.tcp) {
-    if (field == "l4.sport") return layers_.tcp->src_port;
-    if (field == "l4.dport") return layers_.tcp->dst_port;
-  }
-  if (layers_.udp) {
-    if (field == "l4.sport") return layers_.udp->src_port;
-    if (field == "l4.dport") return layers_.udp->dst_port;
+  const auto& l = layers_;
+  switch (field) {
+    case WireField::kEthDst:
+      return mac_to_u64(l.eth.dst);
+    case WireField::kEthSrc:
+      return mac_to_u64(l.eth.src);
+    case WireField::kEthType:
+      return l.eth.ether_type;
+    case WireField::kVlanVid:
+      return l.vlan ? l.vlan->vid : 0;
+    case WireField::kVlanPcp:
+      return l.vlan ? l.vlan->pcp : 0;
+    case WireField::kNshSpi:
+      return l.nsh ? l.nsh->spi : 0;
+    case WireField::kNshSi:
+      return l.nsh ? l.nsh->si : 0;
+    case WireField::kIpv4Src:
+      return l.ipv4 ? l.ipv4->src.value : 0;
+    case WireField::kIpv4Dst:
+      return l.ipv4 ? l.ipv4->dst.value : 0;
+    case WireField::kIpv4Ttl:
+      return l.ipv4 ? l.ipv4->ttl : 0;
+    case WireField::kIpv4Proto:
+      return l.ipv4 ? l.ipv4->protocol : 0;
+    case WireField::kIpv4Dscp:
+      return l.ipv4 ? l.ipv4->dscp : 0;
+    case WireField::kL4Sport:
+      return l.tcp ? l.tcp->src_port : l.udp ? l.udp->src_port : 0;
+    case WireField::kL4Dport:
+      return l.tcp ? l.tcp->dst_port : l.udp ? l.udp->dst_port : 0;
   }
   return 0;
 }
 
-void PhvContext::set(const std::string& field, std::uint64_t value) {
-  if (field.starts_with("meta.") || field.starts_with("std.")) {
-    meta_[field] = value;
-    return;
-  }
+void PhvContext::set_wire(WireField field, std::uint64_t value) {
   if (!parsed_ok_) return;
-  dirty_ = true;
-  if (field == "eth.dst") {
-    u64_to_mac(value, layers_.eth.dst);
-  } else if (field == "eth.src") {
-    u64_to_mac(value, layers_.eth.src);
-  } else if (field == "vlan.vid" && layers_.vlan) {
-    layers_.vlan->vid = static_cast<std::uint16_t>(value & 0xfff);
-  } else if (field == "vlan.pcp" && layers_.vlan) {
-    layers_.vlan->pcp = static_cast<std::uint8_t>(value & 0x7);
-  } else if (field == "nsh.spi" && layers_.nsh) {
-    layers_.nsh->spi = static_cast<std::uint32_t>(value) &
-                       net::NshHeader::kMaxSpi;
-  } else if (field == "nsh.si" && layers_.nsh) {
-    layers_.nsh->si = static_cast<std::uint8_t>(value);
-  } else if (field == "ipv4.src" && layers_.ipv4) {
-    layers_.ipv4->src.value = static_cast<std::uint32_t>(value);
-  } else if (field == "ipv4.dst" && layers_.ipv4) {
-    layers_.ipv4->dst.value = static_cast<std::uint32_t>(value);
-  } else if (field == "ipv4.ttl" && layers_.ipv4) {
-    layers_.ipv4->ttl = static_cast<std::uint8_t>(value);
-  } else if (field == "ipv4.dscp" && layers_.ipv4) {
-    layers_.ipv4->dscp = static_cast<std::uint8_t>(value);
-  } else if (field == "l4.sport" || field == "l4.dport") {
-    const bool is_src = field == "l4.sport";
-    if (layers_.tcp) {
-      (is_src ? layers_.tcp->src_port : layers_.tcp->dst_port) =
-          static_cast<std::uint16_t>(value);
-    } else if (layers_.udp) {
-      (is_src ? layers_.udp->src_port : layers_.udp->dst_port) =
-          static_cast<std::uint16_t>(value);
+  auto& l = layers_;
+  switch (field) {
+    case WireField::kEthDst:
+      u64_to_mac(value, l.eth.dst);
+      break;
+    case WireField::kEthSrc:
+      u64_to_mac(value, l.eth.src);
+      break;
+    case WireField::kVlanVid:
+      if (!l.vlan) return;
+      l.vlan->vid = static_cast<std::uint16_t>(value & 0xfff);
+      break;
+    case WireField::kVlanPcp:
+      if (!l.vlan) return;
+      l.vlan->pcp = static_cast<std::uint8_t>(value & 0x7);
+      break;
+    case WireField::kNshSpi:
+      if (!l.nsh) return;
+      l.nsh->spi = static_cast<std::uint32_t>(value) & net::NshHeader::kMaxSpi;
+      break;
+    case WireField::kNshSi:
+      if (!l.nsh) return;
+      l.nsh->si = static_cast<std::uint8_t>(value);
+      break;
+    case WireField::kIpv4Src:
+      if (!l.ipv4) return;
+      l.ipv4->src.value = static_cast<std::uint32_t>(value);
+      break;
+    case WireField::kIpv4Dst:
+      if (!l.ipv4) return;
+      l.ipv4->dst.value = static_cast<std::uint32_t>(value);
+      break;
+    case WireField::kIpv4Ttl:
+      if (!l.ipv4) return;
+      l.ipv4->ttl = static_cast<std::uint8_t>(value);
+      break;
+    case WireField::kIpv4Dscp:
+      if (!l.ipv4) return;
+      l.ipv4->dscp = static_cast<std::uint8_t>(value);
+      break;
+    case WireField::kL4Sport:
+    case WireField::kL4Dport: {
+      const bool is_src = field == WireField::kL4Sport;
+      const auto port = static_cast<std::uint16_t>(value);
+      if (l.tcp) {
+        (is_src ? l.tcp->src_port : l.tcp->dst_port) = port;
+      } else if (l.udp) {
+        (is_src ? l.udp->src_port : l.udp->dst_port) = port;
+      } else {
+        return;
+      }
+      break;
     }
-  } else {
-    dirty_ = false;  // Unknown field or absent header: ignored.
+    case WireField::kEthType:
+    case WireField::kIpv4Proto:
+      return;  // Read-only: the parse depends on them.
   }
+  dirty_ = true;
 }
 
 std::uint64_t PhvContext::flow_hash() const {

@@ -1,6 +1,7 @@
 #include "src/runtime/faults.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
 
 namespace lemur::runtime {
 namespace {
@@ -13,6 +14,19 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// Parses all of `text` as a number, after dropping an optional `suffix`;
+/// false when anything else is left over.
+template <typename T>
+bool parse_number(std::string_view text, T& out,
+                  std::string_view suffix = {}) {
+  if (!suffix.empty() && text.ends_with(suffix)) {
+    text.remove_suffix(suffix.size());
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 std::uint64_t onset_ns(const FaultEvent& e) {
@@ -132,7 +146,11 @@ std::optional<std::vector<FaultEvent>> FaultScheduler::parse(
     const std::size_t colon = head.find(':');
     if (colon != std::string::npos) {
       kind = head.substr(0, colon);
-      e.element = std::atoi(head.c_str() + colon + 1);
+      if (!parse_number(std::string_view(head).substr(colon + 1),
+                        e.element)) {
+        return fail("fault '" + item + "': bad element '" +
+                    head.substr(colon + 1) + "'");
+      }
     }
     if (kind == "server") {
       e.kind = FaultKind::kServerDeath;
@@ -158,19 +176,28 @@ std::optional<std::vector<FaultEvent>> FaultScheduler::parse(
       return fail("fault '" + item + "': unknown kind '" + kind + "'");
     }
 
-    // tail = <at_ms>[+<dur_ms>][@<rate>], stripped "ms" suffixes allowed.
-    const std::size_t rate_at = tail.find('@');
-    if (rate_at != std::string::npos) {
-      e.rate = std::atof(tail.c_str() + rate_at + 1);
-      tail = tail.substr(0, rate_at);
+    // tail = <at_ms>[+<dur_ms>][@<rate>]; times may end in "ms".
+    std::string_view rest = tail;
+    const std::size_t rate_at = rest.find('@');
+    if (rate_at != std::string_view::npos) {
+      if (!parse_number(rest.substr(rate_at + 1), e.rate)) {
+        return fail("fault '" + item + "': bad rate after '@'");
+      }
+      rest = rest.substr(0, rate_at);
     }
-    const std::size_t plus = tail.find('+');
-    if (plus != std::string::npos) {
-      e.duration_ms = std::atof(tail.c_str() + plus + 1);
-      tail = tail.substr(0, plus);
+    const std::size_t plus = rest.find('+');
+    if (plus != std::string_view::npos) {
+      if (!parse_number(rest.substr(plus + 1), e.duration_ms, "ms")) {
+        return fail("fault '" + item + "': bad duration after '+'");
+      }
+      rest = rest.substr(0, plus);
     }
-    e.at_ms = std::atof(tail.c_str());
-    if (e.at_ms < 0 || e.duration_ms < 0 || e.rate < 0 || e.rate > 1) {
+    if (!parse_number(rest, e.at_ms, "ms")) {
+      return fail("fault '" + item + "': bad time after '@'");
+    }
+    // Negated comparisons also reject NaN.
+    if (!(e.at_ms >= 0) || !(e.duration_ms >= 0) ||
+        !(e.rate >= 0 && e.rate <= 1)) {
       return fail("fault '" + item + "': out-of-range timing/rate");
     }
     out.push_back(e);

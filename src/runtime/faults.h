@@ -13,7 +13,8 @@
 //   corrupt:<i>@<at>+<dur>[@<rate>]  per-packet corruption on server i's wire
 //   dup:<i>@<at>+<dur>[@<rate>]      per-packet duplication
 //   reorder:<i>@<at>+<dur>[@<rate>]  per-packet reordering (extra wire delay)
-// Times are virtual milliseconds; events separated by ';'.
+// Times are virtual milliseconds (an "ms" suffix is allowed); events are
+// separated by ';'. Anything else after a number rejects the spec.
 #pragma once
 
 #include <cstdint>

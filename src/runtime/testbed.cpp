@@ -13,14 +13,12 @@ namespace {
 
 constexpr metacompiler::PortMap kPorts;
 
-/// Which bucket a ToR drop belongs to: the metacompiler's coordination
-/// tables (steering/routing) drop unrouted traffic, everything else is an
-/// NF's own verdict (ACL deny, ...).
-telemetry::DropCause classify_tor_drop(const std::string& drop_table) {
-  if (drop_table.empty()) return telemetry::DropCause::kRoutingMiss;
-  if (drop_table == "lemur_steer" ||
-      drop_table.find("steer") != std::string::npos ||
-      drop_table.find("_route_") != std::string::npos) {
+/// Which bucket a drop by ToR table `table_name` belongs to: the
+/// metacompiler's coordination tables (steering/routing) drop unrouted
+/// traffic, everything else is an NF's own verdict (ACL deny, ...).
+telemetry::DropCause classify_tor_drop(const std::string& table_name) {
+  if (table_name.find("steer") != std::string::npos ||
+      table_name.find("_route_") != std::string::npos) {
     return telemetry::DropCause::kRoutingMiss;
   }
   return telemetry::DropCause::kNfVerdict;
@@ -148,6 +146,12 @@ void Testbed::build() {
   servers_.clear();
   server_of_port_.clear();
   of_switch_.reset();
+  chain_of_aggregate_.clear();
+  for (std::size_t c = 0; c < chains_->size(); ++c) {
+    // First chain wins, as a scan in chain order would.
+    chain_of_aggregate_.emplace((*chains_)[c].aggregate_id,
+                                static_cast<int>(c));
+  }
   segment_index_ = metacompiler::SegmentIndex(artifacts_->routings);
   // resize, not assign: servers already marked dead stay dead across a
   // swap (the degraded plan routes nothing at them anyway).
@@ -165,10 +169,8 @@ void Testbed::build() {
 Testbed::~Testbed() = default;
 
 int Testbed::chain_of(std::uint32_t aggregate_id) const {
-  for (std::size_t c = 0; c < chains_->size(); ++c) {
-    if ((*chains_)[c].aggregate_id == aggregate_id) return static_cast<int>(c);
-  }
-  return 0;
+  const auto it = chain_of_aggregate_.find(aggregate_id);
+  return it == chain_of_aggregate_.end() ? 0 : it->second;
 }
 
 void Testbed::drop(net::Packet&& pkt, net::HopPlatform platform,
@@ -236,6 +238,10 @@ void Testbed::build_tor() {
       error_ = "failed to install entry into '" + table + "'";
       return;
     }
+  }
+  tor_drop_cause_.clear();
+  for (const auto& table : tor_->program().tables) {
+    tor_drop_cause_.push_back(classify_tor_drop(table.name));
   }
 }
 
@@ -949,7 +955,10 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
       const auto result = tor_->process(pkt);
       if (result.dropped) {
         drop(std::move(pkt), net::HopPlatform::kTor,
-             classify_tor_drop(result.drop_table));
+             result.drop_table < 0
+                 ? telemetry::DropCause::kRoutingMiss
+                 : tor_drop_cause_[static_cast<std::size_t>(
+                       result.drop_table)]);
         continue;
       }
       trace_hop(pkt, net::HopPlatform::kTor, 0, ready);

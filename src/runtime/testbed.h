@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
 #include "src/bess/dataplane.h"
 #include "src/bess/nsh_modules.h"
@@ -398,8 +399,11 @@ class Testbed {
 
   std::map<std::uint64_t, Endpoint> endpoints_;
   std::unique_ptr<pisa::PisaSwitch> tor_;
+  /// Drop cause per ToR table, indexed like the program's tables.
+  std::vector<telemetry::DropCause> tor_drop_cause_;
   std::vector<ServerRt> servers_;
   std::map<std::uint32_t, int> server_of_port_;  ///< ToR egress port.
+  std::unordered_map<std::uint32_t, int> chain_of_aggregate_;
   std::uint64_t bounce_ns_ = 0;  ///< One switch<->server hand-off.
   std::unique_ptr<openflow::OpenFlowSwitch> of_switch_;
   metacompiler::SegmentIndex segment_index_;

@@ -94,6 +94,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "switch budgets"},
       {"p4.entry-unknown-table", Severity::kError,
        "every runtime table entry names a table and action that exist"},
+      {"p4.table-capacity", Severity::kError,
+       "no table holds more runtime entries than its provisioned size"},
       {"bess.broken-pipeline", Severity::kError,
        "every BESS module is reachable from its segment entry along "
        "chain edges"},

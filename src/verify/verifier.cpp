@@ -484,8 +484,9 @@ void check_p4(const CompiledArtifacts& artifacts,
   const auto& p4 = artifacts.p4;
   const auto& prog = p4.program;
 
-  // Runtime entries must land in existing tables and actions regardless
-  // of whether the program compiled.
+  // Runtime entries must land in existing tables and actions, and fit the
+  // tables' provisioned sizes, regardless of whether the program compiled.
+  std::vector<int> entries_per_table(prog.tables.size(), 0);
   for (const auto& [table_name, entry] : p4.entries) {
     const int idx = prog.find_table(table_name);
     if (idx < 0) {
@@ -495,6 +496,7 @@ void check_p4(const CompiledArtifacts& artifacts,
                  "unified program");
       continue;
     }
+    ++entries_per_table[static_cast<std::size_t>(idx)];
     const auto& table = prog.table(idx);
     if (table.find_action(entry.action) == nullptr) {
       report.add(Severity::kError, "p4.entry-unknown-table",
@@ -508,6 +510,18 @@ void check_p4(const CompiledArtifacts& artifacts,
                  "runtime entry has " + std::to_string(entry.key.size()) +
                      " key fields but the table matches on " +
                      std::to_string(table.match.size()));
+    }
+  }
+
+  for (std::size_t t = 0; t < prog.tables.size(); ++t) {
+    const auto& table = prog.tables[t];
+    if (entries_per_table[t] > table.size) {
+      report.add(Severity::kError, "p4.table-capacity",
+                 "p4 table '" + table.name + "'",
+                 std::to_string(entries_per_table[t]) +
+                     " runtime entries exceed the " +
+                     std::to_string(table.size) +
+                     " the table provisions; the switch refuses the rest");
     }
   }
 

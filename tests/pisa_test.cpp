@@ -2,6 +2,13 @@
 // analysis, stage packing, and pipeline execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <random>
+
+#include "src/net/bytes.h"
+#include "src/net/flow.h"
 #include "src/net/packet_builder.h"
 #include "src/pisa/compiler.h"
 #include "src/pisa/p4_printer.h"
@@ -289,6 +296,35 @@ TEST(Compiler, ParallelBranchesShareStage) {
 
 // --- PHV context -----------------------------------------------------------
 
+/// Field names resolved the way PisaSwitch::load() resolves them, over a
+/// slot array with room for a few metadata fields.
+struct PhvFields {
+  FieldResolver fields;
+  std::vector<std::uint64_t> slots = std::vector<std::uint64_t>(16);
+
+  FieldRef operator[](const std::string& name) {
+    return fields.resolve(name);
+  }
+};
+
+TEST(Phv, ResolverPinsStandardSlotsAndWireFields) {
+  FieldResolver fields;
+  EXPECT_EQ(fields.slots(), 2u);
+  EXPECT_EQ(fields.resolve("std.drop").kind, FieldRef::Kind::kSlot);
+  EXPECT_EQ(fields.resolve("std.drop").index, FieldResolver::kDropSlot);
+  EXPECT_EQ(fields.resolve("std.egress_port").index,
+            FieldResolver::kEgressSlot);
+  const FieldRef x = fields.resolve("meta.x");
+  EXPECT_EQ(x.kind, FieldRef::Kind::kSlot);
+  EXPECT_EQ(x.index, 2);
+  EXPECT_EQ(fields.resolve("meta.x").index, 2);  // Same name, same slot.
+  EXPECT_EQ(fields.slots(), 3u);
+  EXPECT_EQ(fields.resolve("ipv4.dst").kind, FieldRef::Kind::kWire);
+  EXPECT_EQ(fields.resolve("ipv4.dst").index,
+            static_cast<std::uint16_t>(WireField::kIpv4Dst));
+  EXPECT_EQ(fields.resolve("ipv6.dst").kind, FieldRef::Kind::kNone);
+}
+
 TEST(Phv, ReadsWireFields) {
   net::Packet pkt = PacketBuilder()
                         .src_ip(*Ipv4Addr::parse("10.0.0.1"))
@@ -296,20 +332,24 @@ TEST(Phv, ReadsWireFields) {
                         .src_port(123)
                         .dst_port(456)
                         .build();
-  PhvContext ctx(pkt);
-  EXPECT_EQ(ctx.get("ipv4.src"), 0x0a000001u);
-  EXPECT_EQ(ctx.get("ipv4.dst"), 0x0a000002u);
-  EXPECT_EQ(ctx.get("l4.sport"), 123u);
-  EXPECT_EQ(ctx.get("l4.dport"), 456u);
-  EXPECT_EQ(ctx.get("eth.type"), 0x0800u);
+  PhvFields f;
+  PhvContext ctx(pkt, f.slots);
+  EXPECT_EQ(ctx.get(f["ipv4.src"]), 0x0a000001u);
+  EXPECT_EQ(ctx.get(f["ipv4.dst"]), 0x0a000002u);
+  EXPECT_EQ(ctx.get(f["l4.sport"]), 123u);
+  EXPECT_EQ(ctx.get(f["l4.dport"]), 456u);
+  EXPECT_EQ(ctx.get(f["eth.type"]), 0x0800u);
+  EXPECT_EQ(ctx.get(f["vlan.vid"]), 0u);  // Absent header reads as 0.
+  EXPECT_EQ(ctx.get(f["no.such"]), 0u);
 }
 
 TEST(Phv, WritesFlushWithValidChecksum) {
   net::Packet pkt = PacketBuilder().build();
+  PhvFields f;
   {
-    PhvContext ctx(pkt);
-    ctx.set("ipv4.dst", 0xC0A80101);
-    ctx.set("l4.dport", 8080);
+    PhvContext ctx(pkt, f.slots);
+    ctx.set(f["ipv4.dst"], 0xC0A80101);
+    ctx.set(f["l4.dport"], 8080);
     ctx.flush();
   }
   auto layers = net::ParsedLayers::parse(pkt);
@@ -319,24 +359,48 @@ TEST(Phv, WritesFlushWithValidChecksum) {
   EXPECT_EQ(layers->udp->dst_port, 8080);
 }
 
+TEST(Phv, IgnoredWriteKeepsPendingEdits) {
+  net::Packet pkt = PacketBuilder().build();  // Untagged UDP.
+  PhvFields f;
+  PhvContext ctx(pkt, f.slots);
+  ctx.set(f["eth.dst"], 0xaabbccddeeff);
+  ctx.set(f["vlan.vid"], 7);        // Absent header.
+  ctx.set(f["eth.type"], 0x86dd);   // Read-only.
+  ctx.set(f["ipv4.proto"], 6);      // Read-only.
+  ctx.set(f["no.such"], 1);         // Unknown field.
+  ctx.flush();
+  EXPECT_EQ(pkt.data[0], 0xaa);
+  EXPECT_EQ(pkt.data[5], 0xff);
+  auto layers = net::ParsedLayers::parse(pkt);
+  ASSERT_TRUE(layers.has_value());
+  EXPECT_EQ(layers->eth.ether_type, 0x0800);
+  EXPECT_FALSE(layers->vlan.has_value());
+  ASSERT_TRUE(layers->udp.has_value());
+}
+
 TEST(Phv, MetadataIndependentOfPacket) {
   net::Packet pkt = PacketBuilder().build();
-  PhvContext ctx(pkt);
-  EXPECT_EQ(ctx.get("meta.x"), 0u);
-  ctx.set("meta.x", 42);
-  EXPECT_EQ(ctx.get("meta.x"), 42u);
+  PhvFields f;
+  f.slots.assign(f.slots.size(), 99);  // The context zeroes its slots.
+  PhvContext ctx(pkt, f.slots);
+  EXPECT_EQ(ctx.get(f["meta.x"]), 0u);
+  ctx.set(f["meta.x"], 42);
+  EXPECT_EQ(ctx.get(f["meta.x"]), 42u);
   EXPECT_FALSE(ctx.dropped());
-  ctx.set("std.drop", 1);
+  ctx.set(f["std.drop"], 1);
   EXPECT_TRUE(ctx.dropped());
+  ctx.set(f["std.egress_port"], 5);
+  EXPECT_EQ(ctx.egress_port(), 5u);
 }
 
 TEST(Phv, StructuralOpsPreserveEdits) {
   net::Packet pkt = PacketBuilder().build();
-  PhvContext ctx(pkt);
-  ctx.set("ipv4.ttl", 7);
+  PhvFields f;
+  PhvContext ctx(pkt, f.slots);
+  ctx.set(f["ipv4.ttl"], 7);
   ctx.push_nsh(5, 50);  // Forces a flush + reparse.
-  EXPECT_EQ(ctx.get("nsh.spi"), 5u);
-  EXPECT_EQ(ctx.get("ipv4.ttl"), 7u);
+  EXPECT_EQ(ctx.get(f["nsh.spi"]), 5u);
+  EXPECT_EQ(ctx.get(f["ipv4.ttl"]), 7u);
   ctx.pop_nsh();
   ctx.flush();
   auto layers = net::ParsedLayers::parse(pkt);
@@ -533,6 +597,510 @@ TEST(Switch, NshManipulationActions) {
   ASSERT_TRUE(layers->nsh.has_value());
   EXPECT_EQ(layers->nsh->spi, 17u);
   EXPECT_EQ(layers->nsh->si, 250);
+}
+
+// --- Lowered pipeline vs a name-keyed reference ------------------------------
+
+/// The switch's semantics before load() lowered programs, kept as a test
+/// oracle: fields are read and written by name, metadata lives in a
+/// name-keyed map, and every lookup scans all entries for the best
+/// specificity.
+class ReferencePhv {
+ public:
+  explicit ReferencePhv(net::Packet& pkt) : pkt_(pkt) { reparse(); }
+
+  [[nodiscard]] std::uint64_t get(const std::string& field) const {
+    if (field.starts_with("meta.") || field.starts_with("std.")) {
+      auto it = meta_.find(field);
+      return it == meta_.end() ? 0 : it->second;
+    }
+    if (!ok_) return 0;
+    if (field == "eth.dst") return mac(l_.eth.dst);
+    if (field == "eth.src") return mac(l_.eth.src);
+    if (field == "eth.type") return l_.eth.ether_type;
+    if (l_.vlan && field == "vlan.vid") return l_.vlan->vid;
+    if (l_.vlan && field == "vlan.pcp") return l_.vlan->pcp;
+    if (l_.nsh && field == "nsh.spi") return l_.nsh->spi;
+    if (l_.nsh && field == "nsh.si") return l_.nsh->si;
+    if (l_.ipv4) {
+      if (field == "ipv4.src") return l_.ipv4->src.value;
+      if (field == "ipv4.dst") return l_.ipv4->dst.value;
+      if (field == "ipv4.ttl") return l_.ipv4->ttl;
+      if (field == "ipv4.proto") return l_.ipv4->protocol;
+      if (field == "ipv4.dscp") return l_.ipv4->dscp;
+    }
+    if (l_.tcp && field == "l4.sport") return l_.tcp->src_port;
+    if (l_.tcp && field == "l4.dport") return l_.tcp->dst_port;
+    if (l_.udp && field == "l4.sport") return l_.udp->src_port;
+    if (l_.udp && field == "l4.dport") return l_.udp->dst_port;
+    return 0;
+  }
+
+  void set(const std::string& field, std::uint64_t v) {
+    if (field.starts_with("meta.") || field.starts_with("std.")) {
+      meta_[field] = v;
+      return;
+    }
+    if (!ok_) return;
+    auto* l4_port = [&]() -> std::uint16_t* {
+      const bool src = field == "l4.sport";
+      if (!src && field != "l4.dport") return nullptr;
+      if (l_.tcp) return src ? &l_.tcp->src_port : &l_.tcp->dst_port;
+      if (l_.udp) return src ? &l_.udp->src_port : &l_.udp->dst_port;
+      return nullptr;
+    }();
+    if (field == "eth.dst") {
+      set_mac(v, l_.eth.dst);
+    } else if (field == "eth.src") {
+      set_mac(v, l_.eth.src);
+    } else if (field == "vlan.vid" && l_.vlan) {
+      l_.vlan->vid = static_cast<std::uint16_t>(v & 0xfff);
+    } else if (field == "vlan.pcp" && l_.vlan) {
+      l_.vlan->pcp = static_cast<std::uint8_t>(v & 0x7);
+    } else if (field == "nsh.spi" && l_.nsh) {
+      l_.nsh->spi = static_cast<std::uint32_t>(v) & net::NshHeader::kMaxSpi;
+    } else if (field == "nsh.si" && l_.nsh) {
+      l_.nsh->si = static_cast<std::uint8_t>(v);
+    } else if (field == "ipv4.src" && l_.ipv4) {
+      l_.ipv4->src.value = static_cast<std::uint32_t>(v);
+    } else if (field == "ipv4.dst" && l_.ipv4) {
+      l_.ipv4->dst.value = static_cast<std::uint32_t>(v);
+    } else if (field == "ipv4.ttl" && l_.ipv4) {
+      l_.ipv4->ttl = static_cast<std::uint8_t>(v);
+    } else if (field == "ipv4.dscp" && l_.ipv4) {
+      l_.ipv4->dscp = static_cast<std::uint8_t>(v);
+    } else if (l4_port != nullptr) {
+      *l4_port = static_cast<std::uint16_t>(v);
+    } else {
+      return;  // Ignored write: pending edits stay pending.
+    }
+    dirty_ = true;
+  }
+
+  /// Flushes edits, applies a net:: structural helper, reparses.
+  template <typename Op>
+  void structural(Op op) {
+    flush();
+    op(pkt_);
+    reparse();
+  }
+
+  void flush() {
+    if (!dirty_ || !ok_) return;
+    auto write = [this](const auto& header, std::size_t offset) {
+      std::vector<std::uint8_t> bytes;
+      net::BufWriter w(bytes);
+      header.encode(w);
+      std::copy(bytes.begin(), bytes.end(),
+                pkt_.data.begin() + static_cast<std::ptrdiff_t>(offset));
+    };
+    write(l_.eth, 0);
+    if (l_.vlan) write(*l_.vlan, l_.vlan_offset);
+    if (l_.nsh) write(*l_.nsh, l_.nsh_offset);
+    if (l_.ipv4) net::patch_ipv4(pkt_, l_, *l_.ipv4);
+    if (l_.tcp) {
+      net::patch_l4_ports(pkt_, l_, l_.tcp->src_port, l_.tcp->dst_port);
+    } else if (l_.udp) {
+      net::patch_l4_ports(pkt_, l_, l_.udp->src_port, l_.udp->dst_port);
+    }
+    pkt_.invalidate_layers();
+    dirty_ = false;
+  }
+
+  [[nodiscard]] std::uint64_t flow_hash() const {
+    if (!ok_) return 0;
+    const auto tuple = net::FiveTuple::from(l_);
+    return tuple ? tuple->hash() : 0;
+  }
+
+  [[nodiscard]] bool dropped() const { return get("std.drop") != 0; }
+
+ private:
+  static std::uint64_t mac(const net::MacAddr& m) {
+    std::uint64_t v = 0;
+    for (std::uint8_t b : m.bytes) v = (v << 8) | b;
+    return v;
+  }
+  static void set_mac(std::uint64_t v, net::MacAddr& m) {
+    for (int i = 5; i >= 0; --i, v >>= 8) {
+      m.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
+    }
+  }
+  void reparse() {
+    const auto parsed = net::ParsedLayers::parse(pkt_);
+    ok_ = parsed.has_value();
+    if (ok_) l_ = *parsed;
+    dirty_ = false;
+  }
+
+  net::Packet& pkt_;
+  net::ParsedLayers l_;
+  bool ok_ = false;
+  bool dirty_ = false;
+  std::map<std::string, std::uint64_t> meta_;
+};
+
+void reference_execute(const ActionDef& action,
+                       const std::vector<std::uint64_t>& params,
+                       ReferencePhv& ctx) {
+  auto param = [&params](int i) -> std::uint64_t {
+    return i >= 0 && static_cast<std::size_t>(i) < params.size()
+               ? params[static_cast<std::size_t>(i)]
+               : 0;
+  };
+  using Kind = PrimitiveOp::Kind;
+  for (const auto& op : action.ops) {
+    const auto p0 = param(op.param);
+    const auto p1 = param(op.param + 1);
+    switch (op.kind) {
+      case Kind::kNoOp:
+        break;
+      case Kind::kSetFieldImm:
+        ctx.set(op.field, static_cast<std::uint64_t>(op.imm));
+        break;
+      case Kind::kSetFieldParam:
+        ctx.set(op.field, p0);
+        break;
+      case Kind::kCopyField:
+        ctx.set(op.field, ctx.get(op.src_field));
+        break;
+      case Kind::kAddImm:
+        ctx.set(op.field, static_cast<std::uint64_t>(
+                              static_cast<std::int64_t>(ctx.get(op.field)) +
+                              op.imm));
+        break;
+      case Kind::kDrop:
+        ctx.set("std.drop", 1);
+        break;
+      case Kind::kEgressParam:
+        ctx.set("std.egress_port", p0);
+        break;
+      case Kind::kPushVlanParam:
+        ctx.structural([&](net::Packet& p) {
+          net::push_vlan(p, static_cast<std::uint16_t>(p0));
+        });
+        break;
+      case Kind::kPopVlan:
+        ctx.structural([](net::Packet& p) { net::pop_vlan(p); });
+        break;
+      case Kind::kPushNshParams:
+        ctx.structural([&](net::Packet& p) {
+          net::push_nsh(p, static_cast<std::uint32_t>(p0),
+                        static_cast<std::uint8_t>(p1));
+        });
+        break;
+      case Kind::kPopNsh:
+        ctx.structural([](net::Packet& p) { net::pop_nsh(p); });
+        break;
+      case Kind::kSetNshParams:
+        ctx.structural([&](net::Packet& p) {
+          net::set_nsh(p, static_cast<std::uint32_t>(p0),
+                       static_cast<std::uint8_t>(p1));
+        });
+        break;
+      case Kind::kHashSelectParams:
+        ctx.set(op.field, p1 + (p0 > 0 ? ctx.flow_hash() % p0 : 0));
+        break;
+      case Kind::kAndFieldParam:
+        ctx.set(op.field, ctx.get(op.field) & p0);
+        break;
+    }
+  }
+}
+
+/// Best-specificity scan: the most specific matching entry, the earliest
+/// inserted among equals, never one below specificity 0.
+const TableEntry* reference_lookup(const TableDef& def,
+                                   const std::vector<TableEntry>& entries,
+                                   const ReferencePhv& ctx) {
+  auto width = [](int bits) { return bits >= 64 ? ~0ull : (1ull << bits) - 1; };
+  const TableEntry* best = nullptr;
+  int best_spec = -1;
+  for (const auto& e : entries) {
+    int spec = e.priority * 4096;
+    bool hit = true;
+    for (std::size_t i = 0; hit && i < e.key.size(); ++i) {
+      const MatchField& f = def.match[i];
+      const std::uint64_t actual = ctx.get(f.field) & width(f.bits);
+      const MatchValue& mv = e.key[i];
+      switch (f.kind) {
+        case MatchKind::kExact:
+          hit = actual == (mv.value & width(f.bits));
+          spec += f.bits;
+          break;
+        case MatchKind::kLpm: {
+          if (mv.prefix_len == 0) break;
+          const int shift = f.bits - mv.prefix_len;
+          hit = (actual >> shift) == ((mv.value & width(f.bits)) >> shift);
+          spec += mv.prefix_len;
+          break;
+        }
+        case MatchKind::kTernary:
+          hit = (actual & mv.mask) == (mv.value & mv.mask);
+          spec += std::popcount(mv.mask);
+          break;
+      }
+    }
+    if (hit && spec > best_spec) {
+      best = &e;
+      best_spec = spec;
+    }
+  }
+  return best;
+}
+
+PisaSwitch::ProcessResult reference_process(
+    const P4Program& prog, const CompileResult& compiled,
+    const std::vector<std::vector<TableEntry>>& entries, net::Packet& pkt) {
+  PisaSwitch::ProcessResult out;
+  ReferencePhv ctx(pkt);
+  for (const auto& stage : compiled.stages) {
+    for (int apply_index : stage.applies) {
+      if (ctx.dropped()) break;
+      const TableApply& apply =
+          prog.control[static_cast<std::size_t>(apply_index)];
+      const bool guard_ok = std::all_of(
+          apply.guard.all_of.begin(), apply.guard.all_of.end(),
+          [&](const Condition& c) { return c.eval(ctx.get(c.field)); });
+      if (!guard_ok) continue;
+      const TableDef& table = prog.table(apply.table);
+      const TableEntry* entry = reference_lookup(
+          table, entries[static_cast<std::size_t>(apply.table)], ctx);
+      if (entry != nullptr) {
+        reference_execute(*table.find_action(entry->action), entry->params,
+                          ctx);
+      } else if (const ActionDef* d = table.find_action(table.default_action)) {
+        reference_execute(*d, table.default_params, ctx);
+      }
+      if (ctx.dropped() && out.drop_table < 0) out.drop_table = apply.table;
+    }
+    if (ctx.dropped()) break;
+  }
+  ctx.flush();
+  out.dropped = ctx.dropped();
+  out.egress_port = static_cast<std::uint32_t>(ctx.get("std.egress_port"));
+  if (out.dropped) pkt.drop = true;
+  return out;
+}
+
+const std::string& random_action_name(std::mt19937_64& rng,
+                                      const TableDef& def) {
+  std::uniform_int_distribution<std::size_t> pick(0, def.actions.size() - 1);
+  return def.actions[pick(rng)].name;
+}
+
+/// A random program over a few wire and metadata fields: mixed match
+/// kinds, guards on meta.*, drops, header rewrites (some ignored) and
+/// default actions that are present, absent or name no action.
+P4Program random_switch_program(std::mt19937_64& rng) {
+  auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  static const std::vector<std::pair<std::string, int>> kKeyFields = {
+      {"ipv4.src", 32}, {"ipv4.dst", 32}, {"l4.sport", 16},
+      {"l4.dport", 16}, {"ipv4.proto", 8}, {"meta.m0", 8},
+      {"meta.m1", 8},   {"meta.m2", 8},    {"nsh.si", 8}};
+  static const std::vector<std::string> kMeta = {"meta.m0", "meta.m1",
+                                                 "meta.m2"};
+  static const std::vector<std::string> kWire = {
+      "ipv4.dscp", "ipv4.ttl", "l4.dport", "eth.dst",
+      "vlan.vid",  "eth.type", "ipv4.proto", "nsh.si"};
+  using Kind = PrimitiveOp::Kind;
+  P4Program prog;
+  const int tables = 3 + pick(6);
+  for (int t = 0; t < tables; ++t) {
+    TableDef def;
+    def.name = "t" + std::to_string(t);
+    def.size = 4 + pick(10);
+    for (int k = pick(4); k > 0; --k) {
+      const auto& [field, bits] = kKeyFields[static_cast<std::size_t>(
+          pick(static_cast<int>(kKeyFields.size())))];
+      def.match.push_back({field, static_cast<MatchKind>(pick(3)), bits});
+    }
+    for (int a = 1 + pick(3); a > 0; --a) {
+      ActionDef action;
+      action.name = "a" + std::to_string(def.actions.size());
+      action.num_params = 2;
+      for (int o = 1 + pick(3); o > 0; --o) {
+        PrimitiveOp op;
+        op.param = pick(3);  // Sometimes past the entry's params.
+        op.imm = pick(5) - 2;
+        const auto& meta = kMeta[static_cast<std::size_t>(pick(3))];
+        const auto& wire = kWire[static_cast<std::size_t>(
+            pick(static_cast<int>(kWire.size())))];
+        switch (pick(11)) {
+          case 0:
+            op.kind = Kind::kSetFieldImm;
+            op.field = meta;
+            break;
+          case 1:
+            op.kind = Kind::kSetFieldParam;
+            op.field = pick(2) ? meta : wire;
+            break;
+          case 2:
+            op.kind = Kind::kCopyField;
+            op.field = pick(2) ? meta : wire;
+            op.src_field = pick(2) ? "l4.sport" : meta;
+            break;
+          case 3:
+            op.kind = Kind::kAddImm;
+            op.field = pick(2) ? meta : "ipv4.ttl";
+            break;
+          case 4:
+            op.kind = Kind::kDrop;
+            break;
+          case 5:
+            op.kind = Kind::kEgressParam;
+            break;
+          case 6:
+            op.kind = Kind::kAndFieldParam;
+            op.field = meta;
+            break;
+          case 7:
+            op.kind = Kind::kHashSelectParams;
+            op.field = meta;
+            break;
+          case 8:
+            op.kind = pick(2) ? Kind::kSetNshParams : Kind::kPushNshParams;
+            break;
+          case 9:
+            op.kind = pick(2) ? Kind::kPopNsh : Kind::kPopVlan;
+            break;
+          default:
+            op.kind = Kind::kSetFieldImm;
+            op.field = "std.drop";
+            op.imm = pick(2);  // Sets or clears a drop.
+            break;
+        }
+        action.ops.push_back(op);
+      }
+      def.actions.push_back(std::move(action));
+    }
+    switch (pick(3)) {
+      case 0:
+        break;  // No default action.
+      case 1:
+        def.default_action = "no_such_action";
+        break;
+      default:
+        def.default_action = random_action_name(rng, def);
+        def.default_params = {static_cast<std::uint64_t>(pick(4)),
+                              static_cast<std::uint64_t>(pick(4))};
+        break;
+    }
+    prog.tables.push_back(std::move(def));
+    TableApply apply;
+    apply.table = t;
+    for (int g = pick(3); g > 0; --g) {
+      apply.guard.all_of.push_back(
+          {kMeta[static_cast<std::size_t>(pick(3))],
+           static_cast<Condition::Cmp>(pick(7)),
+           static_cast<std::uint64_t>(pick(4))});
+    }
+    prog.control.push_back(std::move(apply));
+  }
+  return prog;
+}
+
+TableEntry random_entry(std::mt19937_64& rng, const TableDef& def) {
+  auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  // Few distinct values so that entries overlap and tie.
+  auto value = [&](int bits) -> std::uint64_t {
+    static const std::uint64_t kValues[] = {0, 1, 2, 80, 0x0a000001,
+                                            0x0a000102, 0xc0a80101};
+    return kValues[pick(7)] & (bits >= 64 ? ~0ull : (1ull << bits) - 1);
+  };
+  TableEntry e;
+  for (const auto& f : def.match) {
+    switch (f.kind) {
+      case MatchKind::kExact:
+        e.key.push_back(MatchValue::exact(value(f.bits)));
+        break;
+      case MatchKind::kLpm:
+        e.key.push_back(MatchValue::lpm(value(f.bits), pick(f.bits + 1)));
+        break;
+      case MatchKind::kTernary: {
+        static const std::uint64_t kMasks[] = {0, 0xff, 0xff00ff, ~0ull};
+        e.key.push_back(MatchValue::ternary(value(f.bits), kMasks[pick(4)]));
+        break;
+      }
+    }
+  }
+  static const int kPriorities[] = {-1, 0, 0, 0, 1, 2};
+  e.priority = kPriorities[pick(6)];
+  e.action = pick(8) == 0 ? "no_such_action" : random_action_name(rng, def);
+  for (int p = pick(3); p > 0; --p) {
+    e.params.push_back(static_cast<std::uint64_t>(pick(4)));
+  }
+  return e;
+}
+
+net::Packet random_packet(std::mt19937_64& rng) {
+  auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  static const char* kAddrs[] = {"10.0.0.1", "10.0.1.2", "192.168.1.1",
+                                 "172.16.0.9"};
+  static const std::uint16_t kPorts[] = {1, 2, 80, 443};
+  net::Packet pkt =
+      PacketBuilder()
+          .src_ip(*Ipv4Addr::parse(kAddrs[pick(4)]))
+          .dst_ip(*Ipv4Addr::parse(kAddrs[pick(4)]))
+          .src_port(kPorts[pick(4)])
+          .dst_port(kPorts[pick(4)])
+          .proto(pick(2) ? net::IpProto::kTcp : net::IpProto::kUdp)
+          .ttl(static_cast<std::uint8_t>(pick(3)))
+          .build();
+  if (pick(4) == 0) {
+    net::push_nsh(pkt, 1 + static_cast<std::uint32_t>(pick(3)),
+                  static_cast<std::uint8_t>(pick(3)));
+  }
+  if (pick(4) == 0) net::push_vlan(pkt, static_cast<std::uint16_t>(pick(8)));
+  return pkt;
+}
+
+TEST(SwitchParity, LoweredPipelineMatchesNameKeyedReference) {
+  std::mt19937_64 rng(20201201);
+  topo::PisaSwitchSpec spec;
+  spec.stages = 64;
+  int drops = 0;
+  int hits = 0;
+  for (int program = 0; program < 150; ++program) {
+    const P4Program prog = random_switch_program(rng);
+    PisaSwitch sw(prog, spec);
+    const CompileResult compiled = sw.load();
+    ASSERT_TRUE(compiled.ok) << compiled.error;
+    std::vector<std::vector<TableEntry>> entries(prog.tables.size());
+    for (std::size_t t = 0; t < prog.tables.size(); ++t) {
+      const TableDef& def = prog.tables[t];
+      for (int n = std::uniform_int_distribution<int>(0, 16)(rng); n > 0;
+           --n) {
+        TableEntry e = random_entry(rng, def);
+        const bool valid = def.find_action(e.action) != nullptr &&
+                           static_cast<int>(entries[t].size()) < def.size;
+        ASSERT_EQ(sw.add_entry(def.name, e), valid);
+        if (valid) entries[t].push_back(std::move(e));
+      }
+    }
+    for (int i = 0; i < 40; ++i) {
+      net::Packet pkt = random_packet(rng);
+      net::Packet ref_pkt = pkt;
+      const auto got = sw.process(pkt);
+      const auto want = reference_process(prog, compiled, entries, ref_pkt);
+      ASSERT_EQ(got.dropped, want.dropped) << "program " << program;
+      ASSERT_EQ(got.drop_table, want.drop_table) << "program " << program;
+      ASSERT_EQ(got.egress_port, want.egress_port) << "program " << program;
+      ASSERT_EQ(pkt.drop, ref_pkt.drop) << "program " << program;
+      ASSERT_EQ(pkt.data, ref_pkt.data) << "program " << program;
+      drops += got.dropped ? 1 : 0;
+      hits += got.egress_port != 0 ? 1 : 0;
+    }
+  }
+  // The fuzz must exercise both outcomes, not just pass vacuously.
+  EXPECT_GT(drops, 100);
+  EXPECT_GT(hits, 100);
 }
 
 // --- Printer ----------------------------------------------------------------

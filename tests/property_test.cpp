@@ -25,31 +25,42 @@ namespace {
 // --- P4 packing semantics ----------------------------------------------------
 
 /// Executes the program's applies in pure control order against a packet
-/// (the unpacked reference semantics).
-pisa::PhvContext execute_control_order(const pisa::P4Program& prog,
-                                       net::Packet& pkt) {
-  pisa::PhvContext ctx(pkt);
+/// (the unpacked reference semantics), with names resolved the way
+/// PisaSwitch::load() resolves them.
+void execute_control_order(const pisa::P4Program& prog, net::Packet& pkt) {
+  pisa::FieldResolver fields;
+  // These generated programs rely on default actions only.
+  std::vector<pisa::ResolvedAction> defaults;
+  for (const auto& table : prog.tables) {
+    const auto* action = table.find_action(table.default_action);
+    defaults.push_back(action != nullptr
+                           ? pisa::ResolvedAction::lower(*action, fields)
+                           : pisa::ResolvedAction{});
+  }
+  std::vector<std::vector<pisa::FieldRef>> guard_fields;
   for (const auto& apply : prog.control) {
-    if (ctx.dropped()) break;
-    bool guard_ok = true;
+    auto& refs = guard_fields.emplace_back();
     for (const auto& cond : apply.guard.all_of) {
-      if (!cond.eval(ctx.get(cond.field))) {
+      refs.push_back(fields.resolve(cond.field));
+    }
+  }
+  std::vector<std::uint64_t> slots(fields.slots());
+  pisa::PhvContext ctx(pkt, slots);
+  for (std::size_t a = 0; a < prog.control.size(); ++a) {
+    if (ctx.dropped()) break;
+    const auto& conds = prog.control[a].guard.all_of;
+    bool guard_ok = true;
+    for (std::size_t c = 0; c < conds.size(); ++c) {
+      if (!conds[c].eval(ctx.get(guard_fields[a][c]))) {
         guard_ok = false;
         break;
       }
     }
     if (!guard_ok) continue;
-    const auto& table = prog.table(apply.table);
-    // These generated programs rely on default actions only.
-    if (!table.default_action.empty()) {
-      const auto* action = table.find_action(table.default_action);
-      if (action != nullptr) {
-        pisa::execute_action(*action, table.default_params, ctx);
-      }
-    }
+    const auto table = static_cast<std::size_t>(prog.control[a].table);
+    defaults[table].execute(prog.tables[table].default_params, ctx);
   }
   ctx.flush();
-  return ctx;
 }
 
 /// Random guarded program over a handful of metadata fields: tables read
@@ -107,7 +118,7 @@ TEST_P(PackingSemantics, PackedExecutionMatchesControlOrder) {
   net::Packet packed_pkt = net::PacketBuilder().frame_size(96).build();
   net::Packet reference_pkt = packed_pkt;
   sw.process(packed_pkt);
-  auto reference_ctx = execute_control_order(prog, reference_pkt);
+  execute_control_order(prog, reference_pkt);
 
   // Wire bytes must agree...
   EXPECT_EQ(packed_pkt.data, reference_pkt.data);

@@ -114,6 +114,43 @@ ChaosRun run_chaos(const Scenario& s, const std::string& fault_spec,
 
 // --- Server death: detect, re-place, swap ------------------------------------
 
+TEST(FaultSpec, ParsesEveryField) {
+  std::string error;
+  const auto events =
+      FaultScheduler::parse("server:1@2;corrupt:3@1.5ms+2ms@0.5;of@4", &error);
+  ASSERT_TRUE(events.has_value()) << error;
+  ASSERT_EQ(events->size(), 3u);
+  EXPECT_EQ((*events)[0].kind, FaultKind::kServerDeath);
+  EXPECT_EQ((*events)[0].element, 1);
+  EXPECT_EQ((*events)[0].at_ms, 2.0);
+  EXPECT_EQ((*events)[1].kind, FaultKind::kLinkCorrupt);
+  EXPECT_EQ((*events)[1].element, 3);
+  EXPECT_EQ((*events)[1].at_ms, 1.5);
+  EXPECT_EQ((*events)[1].duration_ms, 2.0);
+  EXPECT_EQ((*events)[1].rate, 0.5);
+  EXPECT_EQ((*events)[2].kind, FaultKind::kOpenFlowDown);
+  EXPECT_EQ((*events)[2].at_ms, 4.0);
+}
+
+TEST(FaultSpec, RejectsAnythingAfterANumber) {
+  for (const char* spec : {
+           "server:1junk@2",          // element
+           "server:@2",               // empty element
+           "server:1@2\\junk",        // @time
+           "server:1@2x",             // @time
+           "server:1@",               // empty @time
+           "link:0@2+1junk",          // +duration
+           "link:0@2+",               // empty +duration
+           "corrupt:0@1+1@0.25junk",  // @rate
+           "corrupt:0@1+1@0.25ms",    // rates take no unit
+           "corrupt:0@1+1@nan",       // out of range
+       }) {
+    std::string error;
+    EXPECT_FALSE(FaultScheduler::parse(spec, &error).has_value()) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
 TEST(Recovery, ServerDeathIsDetectedAndRecovered) {
   auto s = canonical_scenario({3, 5}, 1.0);
   const auto used = used_servers(s.placement);

@@ -293,6 +293,30 @@ TEST(VerifierP4, RuntimeEntryIntoUnknownTable) {
   EXPECT_TRUE(report.fired("p4.entry-unknown-table")) << report.to_string();
 }
 
+/// Copies `table`'s first runtime entry until the table holds one more
+/// entry than it provisions.
+void overfill_table(metacompiler::P4Artifact& p4, const std::string& table) {
+  const auto& def = p4.program.table(p4.program.find_table(table));
+  const auto first = std::find_if(
+      p4.entries.begin(), p4.entries.end(),
+      [&](const auto& e) { return e.first == table; });
+  ASSERT_NE(first, p4.entries.end());
+  const pisa::TableEntry entry = first->second;
+  const auto held = std::count_if(
+      p4.entries.begin(), p4.entries.end(),
+      [&](const auto& e) { return e.first == table; });
+  for (auto n = held; n <= def.size; ++n) p4.entries.emplace_back(table, entry);
+}
+
+TEST(VerifierP4, EntriesBeyondTableSize) {
+  auto d = compile_canonical({2});
+  EXPECT_FALSE(d.verify().fired("p4.table-capacity"));
+  overfill_table(d.artifacts.p4, "lemur_steer");
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("p4.table-capacity")) << report.to_string();
+  EXPECT_FALSE(report.fired("p4.entry-unknown-table")) << report.to_string();
+}
+
 // --- BESS plan sanity ---------------------------------------------------------
 
 TEST(VerifierBess, ModulesNotConnectedByChainEdges) {
@@ -428,6 +452,16 @@ TEST(VerifierPipeline, TestbedRefusesArtifactForUnknownSmartNic) {
   runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
   EXPECT_FALSE(testbed.ok());
   EXPECT_NE(testbed.error().find("handoff.unknown-device"), std::string::npos)
+      << testbed.error();
+}
+
+TEST(VerifierPipeline, TestbedRefusesOverfullTableBeforeDeploy) {
+  auto d = compile_canonical({2});
+  overfill_table(d.artifacts.p4, "lemur_steer");
+  runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
+  EXPECT_FALSE(testbed.ok());
+  // Rejected by the verifier, not by the switch's add_entry at deploy.
+  EXPECT_NE(testbed.error().find("p4.table-capacity"), std::string::npos)
       << testbed.error();
 }
 
