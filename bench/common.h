@@ -3,6 +3,7 @@
 // metacompilation + testbed measurement, and paper-style table printing.
 #pragma once
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -90,6 +91,23 @@ inline std::string cell(double value, bool valid) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", value);
   return buf;
+}
+
+/// Exact per-chain conservation: offered == delivered + dropped + residual.
+/// Prints the first violating chain.
+inline bool conserved(const runtime::Measurement& m) {
+  for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
+    if (m.chain_offered[c] != m.chain_delivered[c] + m.chain_dropped[c] +
+                                  m.chain_residual[c]) {
+      std::printf("conservation violated on chain %zu: offered %" PRIu64
+                  " != delivered %" PRIu64 " + dropped %" PRIu64
+                  " + residual %" PRIu64 "\n",
+                  c + 1, m.chain_offered[c], m.chain_delivered[c],
+                  m.chain_dropped[c], m.chain_residual[c]);
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace lemur::bench

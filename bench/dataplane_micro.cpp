@@ -1,16 +1,14 @@
-// Dataplane fast-path microbench: drives the fig2 comparison workload
-// (chains {1,2,3,4} at delta 0.9) through the full rack with the three
-// fast-path layers toggled — packet pooling, parse-once metadata, and
-// the AES fast path — plus a FlatFlowTable-vs-unordered_map churn
-// microbench. The "slow" configuration (everything off) approximates the
-// pre-fast-path dataplane, so fast/slow is an honest speedup figure.
+// Dataplane microbench: drives the fig2 comparison workload (chains
+// {1,2,3,4} at delta 0.9) through the full rack on the one packet path
+// there is — pooled packets, parse-once metadata, fast AES — plus a
+// FlatFlowTable-vs-unordered_map churn microbench. Each fast layer is
+// checked against its oracle in tests/fastpath_test.cpp, not here.
 //
 // Emits BENCH_dataplane.json. With --baseline <path>, compares this
 // run's pooled pps against the committed baseline's and exits 1 when it
 // regresses more than 10% — the packets/sec regression gate ci.sh runs.
-// Conservation (offered == delivered + dropped + residual) and
-// fast-vs-slow measurement parity (identical per-chain delivered/dropped
-// counts) are checked on every rep; either failing also exits 1.
+// Conservation (offered == delivered + dropped + residual) and trace
+// continuity are checked on every rep; either failing also exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -21,7 +19,6 @@
 
 #include "bench/common.h"
 #include "src/net/flat_table.h"
-#include "src/nf/crypto/aes128.h"
 #include "src/telemetry/json.h"
 
 namespace {
@@ -32,21 +29,7 @@ constexpr int kReps = 3;
 constexpr double kDurationMs = 5.0;
 constexpr double kMaxRegression = 0.10;  // vs --baseline pooled_pps.
 
-struct Config {
-  const char* name;
-  bool pooling;
-  bool parse_cache;
-  bool fast_aes;
-};
-
-constexpr Config kConfigs[] = {
-    {"fast", true, true, true},
-    {"no_pool", false, true, true},
-    {"no_cache", true, false, true},
-    {"slow", false, false, false},  // ~ the pre-fast-path dataplane.
-};
-
-struct ConfigResult {
+struct RunResult {
   std::vector<double> wall_ms;
   double best_wall_ms = 0;
   double pps = 0;  ///< offered packets / best wall second.
@@ -55,45 +38,26 @@ struct ConfigResult {
   net::ParseCacheStats cache;
 };
 
-bool conserved(const runtime::Measurement& m) {
-  for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
-    if (m.chain_offered[c] != m.chain_delivered[c] + m.chain_dropped[c] +
-                                  m.chain_residual[c]) {
-      std::printf("conservation violated on chain %zu: offered %" PRIu64
-                  " != delivered %" PRIu64 " + dropped %" PRIu64
-                  " + residual %" PRIu64 "\n",
-                  c + 1, m.chain_offered[c], m.chain_delivered[c],
-                  m.chain_dropped[c], m.chain_residual[c]);
-      return false;
-    }
-  }
-  return true;
-}
-
-ConfigResult run_config(const Config& config,
-                        const std::vector<chain::ChainSpec>& chains,
-                        const placer::PlacementResult& placement,
-                        const metacompiler::CompiledArtifacts& artifacts,
-                        const topo::Topology& topo, bool* ok) {
-  net::set_parse_cache_enabled(config.parse_cache);
-  nf::crypto::set_fast_aes(config.fast_aes);
-  ConfigResult out;
+RunResult run_reps(const std::vector<chain::ChainSpec>& chains,
+                   const placer::PlacementResult& placement,
+                   const metacompiler::CompiledArtifacts& artifacts,
+                   const topo::Topology& topo, bool* ok) {
+  RunResult out;
   for (int rep = 0; rep < kReps; ++rep) {
     runtime::Testbed testbed(chains, placement, artifacts, topo);
     if (!testbed.ok()) {
       std::printf("deployment error: %s\n", testbed.error().c_str());
       std::exit(1);
     }
-    testbed.set_pooling(config.pooling);
     net::reset_parse_cache_stats();
     const auto start = std::chrono::steady_clock::now();
     auto m = testbed.run(kDurationMs);
     const auto stop = std::chrono::steady_clock::now();
     out.wall_ms.push_back(
         std::chrono::duration<double, std::milli>(stop - start).count());
-    *ok = *ok && conserved(m);
+    *ok = *ok && bench::conserved(m);
     if (testbed.traces().continuity_errors() != 0) {
-      std::printf("[%s] continuity errors: %" PRIu64 "\n", config.name,
+      std::printf("continuity errors: %" PRIu64 "\n",
                   testbed.traces().continuity_errors());
       *ok = false;
     }
@@ -107,29 +71,7 @@ ConfigResult run_config(const Config& config,
                 ? static_cast<double>(out.m.offered_packets) /
                       (out.best_wall_ms * 1e-3)
                 : 0;
-  // Restore the defaults for whatever runs next in this process.
-  net::set_parse_cache_enabled(true);
-  nf::crypto::set_fast_aes(true);
   return out;
-}
-
-/// Fast-path toggles must not change what the rack *measures* — only how
-/// fast the simulation computes it.
-bool identical_measurements(const runtime::Measurement& a,
-                            const runtime::Measurement& b,
-                            const char* who) {
-  bool same = a.chain_delivered == b.chain_delivered &&
-              a.chain_dropped == b.chain_dropped &&
-              a.chain_residual == b.chain_residual &&
-              a.offered_packets == b.offered_packets;
-  for (std::size_t c = 0; same && c < a.chain_p99_us.size(); ++c) {
-    same = a.chain_p50_us[c] == b.chain_p50_us[c] &&
-           a.chain_p99_us[c] == b.chain_p99_us[c];
-  }
-  if (!same) {
-    std::printf("FAIL: '%s' changed the measured results vs 'fast'\n", who);
-  }
-  return same;
 }
 
 /// FlatFlowTable vs std::unordered_map under flow-table churn: insert a
@@ -202,32 +144,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("Lemur reproduction — dataplane fast path (fig2 workload, "
+  std::printf("Lemur reproduction — dataplane microbench (fig2 workload, "
               "chains {1,2,3,4} at delta 0.9)\n");
-  bench::print_header("packets/sec by configuration, " +
-                      std::to_string(kReps) + " reps of " +
+  bench::print_header("packets/sec, " + std::to_string(kReps) + " reps of " +
                       std::to_string(kDurationMs) + " ms");
 
   bool ok = true;
-  std::vector<ConfigResult> results;
-  std::printf("%-10s %12s %14s %10s\n", "config", "best-ms", "pps",
-              "vs-slow");
-  for (const auto& config : kConfigs) {
-    results.push_back(
-        run_config(config, chains, placement, artifacts, topo, &ok));
-  }
-  const double slow_pps = results.back().pps;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-10s %12.2f %14.0f %9.2fx\n", kConfigs[i].name,
-                results[i].best_wall_ms, results[i].pps,
-                slow_pps > 0 ? results[i].pps / slow_pps : 0);
-  }
-
-  // The fast path must be a pure optimization: identical measurements.
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ok = identical_measurements(results[0].m, results[i].m,
-                                kConfigs[i].name) && ok;
-  }
+  const RunResult run = run_reps(chains, placement, artifacts, topo, &ok);
+  const double pooled_pps = run.pps;
+  std::printf("best %.2f ms, %.0f pps (pool reused %" PRIu64
+              ", parse hits %" PRIu64 ")\n",
+              run.best_wall_ms, pooled_pps, run.pool.reused, run.cache.hits);
 
   bench::print_header("FlatFlowTable vs std::unordered_map (churn)");
   const double flat_mops =
@@ -236,11 +163,6 @@ int main(int argc, char** argv) {
       churn_mops<std::unordered_map<std::uint64_t, std::uint32_t>>(20000, 50);
   std::printf("flat %.1f Mops, std %.1f Mops, ratio %.2fx\n", flat_mops,
               std_mops, std_mops > 0 ? flat_mops / std_mops : 0);
-
-  const double pooled_pps = results[0].pps;
-  const double speedup = slow_pps > 0 ? pooled_pps / slow_pps : 0;
-  std::printf("\npooled %0.f pps vs pre-fast-path %0.f pps: %.2fx\n",
-              pooled_pps, slow_pps, speedup);
 
   double baseline_pps = -1;
   if (baseline_path != nullptr) {
@@ -263,30 +185,18 @@ int main(int argc, char** argv) {
   w.kv("workload", "fig2 chains {1,2,3,4} delta 0.9");
   w.kv("reps", kReps);
   w.kv("duration_ms", kDurationMs);
-  w.key("configs");
+  w.key("wall_ms");
   w.begin_array();
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    w.begin_object();
-    w.kv("name", kConfigs[i].name);
-    w.key("wall_ms");
-    w.begin_array();
-    for (double v : r.wall_ms) w.value(v);
-    w.end_array();
-    w.kv("best_wall_ms", r.best_wall_ms);
-    w.kv("pps", r.pps);
-    w.kv("offered_packets", r.m.offered_packets);
-    w.kv("delivered_packets", r.m.delivered_packets);
-    w.kv("pool_allocated", r.pool.allocated);
-    w.kv("pool_reused", r.pool.reused);
-    w.kv("parse_hits", r.cache.hits);
-    w.kv("parse_misses", r.cache.misses);
-    w.end_object();
-  }
+  for (double v : run.wall_ms) w.value(v);
   w.end_array();
+  w.kv("best_wall_ms", run.best_wall_ms);
+  w.kv("offered_packets", run.m.offered_packets);
+  w.kv("delivered_packets", run.m.delivered_packets);
+  w.kv("pool_allocated", run.pool.allocated);
+  w.kv("pool_reused", run.pool.reused);
+  w.kv("parse_hits", run.cache.hits);
+  w.kv("parse_misses", run.cache.misses);
   w.kv("pooled_pps", pooled_pps);
-  w.kv("slow_pps", slow_pps);
-  w.kv("speedup_vs_slow", speedup);
   w.kv("flat_table_mops", flat_mops);
   w.kv("std_table_mops", std_mops);
   w.kv("flat_vs_std", std_mops > 0 ? flat_mops / std_mops : 0);

@@ -58,14 +58,15 @@ run_config sanitize "$ci_root/build-sanitize" \
 # Each still fails the script.
 
 # Telemetry smoke: fig2 workload with tracing on/off. Fails on broken
-# packet conservation, trace-continuity errors, or >10% tracing
-# overhead; leaves BENCH_telemetry.json next to the build tree.
+# packet conservation, trace-continuity errors, or a median tracing
+# overhead >10% over interleaved traced/untraced pairs; leaves
+# BENCH_telemetry.json next to the build tree.
 echo "==== [normal] telemetry smoke ===="
 (cd "$ci_root/build" && ./bench/telemetry_smoke)
 
-# Dataplane fast path: pooled vs unpooled pps, parse-once on/off, flat vs
-# std flow tables. Fails on conservation/parity breakage, or when pooled
-# pps regresses >10% below the committed BENCH_dataplane.json baseline.
+# Dataplane micro: pps of the one packet path, flat vs std flow tables.
+# Fails on conservation/continuity breakage, or when pooled pps regresses
+# >10% below the committed BENCH_dataplane.json baseline.
 echo "==== [normal] dataplane micro ===="
 (cd "$ci_root/build" &&
  ./bench/dataplane_micro --baseline "$repo_root/BENCH_dataplane.json")

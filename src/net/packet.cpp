@@ -36,39 +36,26 @@ void write_u16(Packet& pkt, std::size_t off, std::uint16_t v) {
   pkt.data[off + 1] = static_cast<std::uint8_t>(v);
 }
 
-bool g_parse_cache = true;
 ParseCacheStats g_parse_cache_stats;
 
 }  // namespace
 
-void set_parse_cache_enabled(bool enabled) { g_parse_cache = enabled; }
-bool parse_cache_enabled() { return g_parse_cache; }
 const ParseCacheStats& parse_cache_stats() { return g_parse_cache_stats; }
 void reset_parse_cache_stats() { g_parse_cache_stats = {}; }
 
 const ParsedLayers* Packet::layers() const {
-  if (g_parse_cache && cache_gen_ == buffer_gen_) {
+  if (cache_gen_ == buffer_gen_) {
     ++g_parse_cache_stats.hits;
-    return parse_ok_ ? &*cache_ : nullptr;
-  }
-  ++g_parse_cache_stats.misses;
-  auto parsed = ParsedLayers::parse(*this);
-  parse_ok_ = parsed.has_value();
-  if (parsed) {
-    cache_ = *std::move(parsed);
   } else {
-    cache_.reset();
+    ++g_parse_cache_stats.misses;
+    cache_ = ParsedLayers::parse(*this);
+    cache_gen_ = buffer_gen_;
   }
-  // When the cache is disabled, record a generation that never matches so
-  // every call reparses — the pre-cache behaviour.
-  cache_gen_ = g_parse_cache ? buffer_gen_ : buffer_gen_ - 1;
-  return parse_ok_ ? &*cache_ : nullptr;
+  return cache_ ? &*cache_ : nullptr;
 }
 
 void Packet::store_layers(const ParsedLayers& layers) const {
-  if (!g_parse_cache) return;
   cache_ = layers;
-  parse_ok_ = true;
   cache_gen_ = buffer_gen_;
 }
 

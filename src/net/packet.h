@@ -71,12 +71,6 @@ struct ParsedLayers {
   static std::optional<ParsedLayers> parse(const Packet& pkt);
 };
 
-/// Toggles the per-packet parse cache process-wide (default on). Off forces
-/// layers() to reparse on every call — the pre-cache behaviour, kept for
-/// A/B benchmarking and parity tests.
-void set_parse_cache_enabled(bool enabled);
-[[nodiscard]] bool parse_cache_enabled();
-
 /// Cumulative layers() cache hit/miss counts (single-threaded counters).
 struct ParseCacheStats {
   std::uint64_t hits = 0;
@@ -109,9 +103,9 @@ struct Packet {
   void invalidate_layers() { ++buffer_gen_; }
 
   /// Cached parse for in-place maintenance after a field rewrite that does
-  /// not move offsets; nullptr when the cache is stale or disabled.
+  /// not move offsets; nullptr when the cache is stale.
   [[nodiscard]] ParsedLayers* mutable_layers() {
-    return cache_gen_ == buffer_gen_ && parse_ok_ ? &*cache_ : nullptr;
+    return cache_gen_ == buffer_gen_ && cache_ ? &*cache_ : nullptr;
   }
 
   /// Replaces the cached parse wholesale (offsets must match the current
@@ -128,7 +122,6 @@ struct Packet {
   mutable std::optional<ParsedLayers> cache_;
   mutable std::uint32_t cache_gen_ = 0;  ///< Generation cache_ was taken at.
   std::uint32_t buffer_gen_ = 1;         ///< Bumped on structural change.
-  mutable bool parse_ok_ = false;
   /// True while the packet sits on a PacketPool free list. Survives the
   /// move release() performs (moving a Packet moves the buffers, not this
   /// flag's value on the source), which is exactly what lets the pool

@@ -5,8 +5,7 @@
 namespace lemur::net {
 
 Packet PacketPool::acquire() {
-  if (!enabled_ || free_.empty()) {
-    if (enabled_) ++stats_.exhausted;
+  if (free_.empty()) {
     ++stats_.allocated;
     return Packet{};
   }
@@ -28,7 +27,7 @@ void PacketPool::release(Packet&& pkt) {
     return;
   }
   pkt.pool_released_ = true;
-  if (!enabled_ || free_.size() >= max_free_) {
+  if (free_.size() >= kMaxFree) {
     ++stats_.discarded;
     return;
   }
@@ -39,21 +38,6 @@ void PacketPool::release(Packet&& pkt) {
 void PacketPool::release_all(PacketBatch&& batch) {
   for (auto& pkt : batch.packets()) release(std::move(pkt));
   batch.clear();
-}
-
-void PacketPool::preallocate(std::size_t n, std::size_t frame_bytes) {
-  if (!enabled_) return;
-  while (free_.size() < n && free_.size() < max_free_) {
-    Packet pkt;
-    pkt.data.reserve(frame_bytes);
-    pkt.pool_released_ = true;
-    free_.push_back(std::move(pkt));
-  }
-}
-
-void PacketPool::set_enabled(bool enabled) {
-  enabled_ = enabled;
-  if (!enabled_) free_.clear();
 }
 
 }  // namespace lemur::net

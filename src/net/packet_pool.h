@@ -7,8 +7,8 @@
 // Hardening: releasing the same Packet object twice is detected via a
 // released-flag the pool maintains on the packet (debug builds assert,
 // release builds discard the duplicate and count it), and exhaustion is
-// never fatal — an empty free list gracefully falls back to heap
-// allocation, counted separately so benchmarks can see a cold pool.
+// never fatal — an empty free list falls back to heap allocation,
+// counted as `allocated` so benchmarks can see a cold pool.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +23,7 @@ class PacketPool {
  public:
   /// Free-list cap: beyond this, released packets are simply destroyed
   /// (bounds memory when a run ends with large queue residue).
-  static constexpr std::size_t kDefaultMaxFree = 1 << 16;
-
-  explicit PacketPool(std::size_t max_free = kDefaultMaxFree)
-      : max_free_(max_free) {}
+  static constexpr std::size_t kMaxFree = 1 << 16;
 
   /// Pops a recycled packet (reset to a just-constructed state, capacity
   /// retained) or default-constructs one when the free list is empty —
@@ -41,21 +38,11 @@ class PacketPool {
   /// Releases every packet in the batch and clears it.
   void release_all(PacketBatch&& batch);
 
-  /// Pre-warms the free list with `n` packets whose frame buffers have
-  /// `frame_bytes` of capacity, so the first `n` acquires are pool hits.
-  void preallocate(std::size_t n, std::size_t frame_bytes = 1500);
-
-  /// Off turns acquire/release into plain construct/destroy — the
-  /// unpooled baseline for A/B benchmarking. The free list is dropped.
-  void set_enabled(bool enabled);
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   struct Stats {
     std::uint64_t allocated = 0;  ///< acquire() with an empty free list.
     std::uint64_t reused = 0;     ///< acquire() served from the free list.
     std::uint64_t recycled = 0;   ///< release() kept the packet.
-    std::uint64_t discarded = 0;  ///< release() destroyed it (full/off).
-    std::uint64_t exhausted = 0;  ///< Heap fall-backs while enabled.
+    std::uint64_t discarded = 0;  ///< release() destroyed it (list full).
     std::uint64_t double_release = 0;  ///< Duplicate releases rejected.
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -64,8 +51,6 @@ class PacketPool {
  private:
   std::vector<Packet> free_;
   Stats stats_;
-  std::size_t max_free_;
-  bool enabled_ = true;
 };
 
 }  // namespace lemur::net

@@ -11,13 +11,6 @@
 namespace lemur::nf::crypto {
 
 namespace {
-bool g_fast_aes = true;
-}  // namespace
-
-void set_fast_aes(bool enabled) { g_fast_aes = enabled; }
-bool fast_aes_enabled() { return g_fast_aes; }
-
-namespace {
 
 // FIPS-197 S-box.
 constexpr std::uint8_t kSbox[256] = {
@@ -287,10 +280,6 @@ Aes128::Aes128(std::span<const std::uint8_t, kKeySize> key) {
 }
 
 void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
-  if (!g_fast_aes) {
-    encrypt_reference(block);
-    return;
-  }
 #ifdef LEMUR_AES_NI
   if (aesni_) {
     encrypt_block_aesni(round_keys_, block.data());
@@ -301,10 +290,6 @@ void Aes128::encrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
 }
 
 void Aes128::decrypt_block(std::span<std::uint8_t, kBlockSize> block) const {
-  if (!g_fast_aes) {
-    decrypt_reference(block);
-    return;
-  }
 #ifdef LEMUR_AES_NI
   if (aesni_) {
     decrypt_block_aesni(dec_keys_bytes_, block.data());

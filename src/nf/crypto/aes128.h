@@ -1,12 +1,10 @@
 // AES-128 block cipher and CBC mode, as used by the paper's Encrypt and
 // Decrypt NFs ("128-bit AES-CBC", Table 3).
 //
-// Two implementations with bit-identical output share the key schedule:
-// the byte-wise FIPS-197 reference, and a fast path (AES-NI when the CPU
-// has it, 32-bit T-tables otherwise) selected by set_fast_aes(). The
-// fast path exists because AES dominates the simulator's wall clock on
-// crypto-heavy chains; the reference path is kept so benches can measure
-// the speedup against the original cost.
+// encrypt_block/decrypt_block use AES-NI when the CPU has it and 32-bit
+// T-tables otherwise: AES dominates the simulator's wall clock on
+// crypto-heavy chains. The byte-wise FIPS-197 reference shares the key
+// schedule and is kept as the oracle both fast paths are tested against.
 #pragma once
 
 #include <array>
@@ -14,12 +12,6 @@
 #include <span>
 
 namespace lemur::nf::crypto {
-
-/// Toggles the T-table/AES-NI fast path process-wide (default on). Both
-/// paths produce identical ciphertext; the toggle exists for A/B
-/// benchmarking against the reference implementation.
-void set_fast_aes(bool enabled);
-[[nodiscard]] bool fast_aes_enabled();
 
 class Aes128 {
  public:
@@ -32,12 +24,15 @@ class Aes128 {
   void encrypt_block(std::span<std::uint8_t, kBlockSize> block) const;
   void decrypt_block(std::span<std::uint8_t, kBlockSize> block) const;
 
- private:
+  /// The individual implementations, for tests: the byte-wise FIPS-197
+  /// reference (the oracle) and the T-table path, which encrypt_block and
+  /// decrypt_block bypass on AES-NI hosts. All produce identical output.
   void encrypt_reference(std::span<std::uint8_t, kBlockSize> block) const;
   void decrypt_reference(std::span<std::uint8_t, kBlockSize> block) const;
   void encrypt_tables(std::span<std::uint8_t, kBlockSize> block) const;
   void decrypt_tables(std::span<std::uint8_t, kBlockSize> block) const;
 
+ private:
   // 11 round keys of 16 bytes.
   std::array<std::array<std::uint8_t, kBlockSize>, 11> round_keys_{};
   // Derived schedules for the fast paths, filled by the constructor:

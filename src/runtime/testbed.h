@@ -153,11 +153,9 @@ class Testbed {
   void set_tracing(bool enabled) { tracing_ = enabled; }
   [[nodiscard]] bool tracing() const { return tracing_; }
 
-  /// Packet-buffer pooling (on by default): delivered/dropped packets
-  /// return their frame buffers to an arena that injection re-uses, so
-  /// steady state allocates nothing per packet. Off reverts to plain
-  /// construct/destroy per packet (for A/B parity runs).
-  void set_pooling(bool enabled) { pool_.set_enabled(enabled); }
+  /// Packet-buffer pool: delivered/dropped packets return their frame
+  /// buffers to an arena that injection re-uses, so steady state
+  /// allocates nothing per packet.
   [[nodiscard]] const net::PacketPool& packet_pool() const { return pool_; }
 
   /// Keep every raw latency sample per chain (tests compare histogram

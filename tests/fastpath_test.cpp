@@ -1,19 +1,22 @@
-// Dataplane fast-path invariants: the pooling/parse-cache/fast-AES
-// toggles must not change anything the rack measures, FlatFlowTable must
-// behave exactly like std::unordered_map under churn, and the Placer's
-// memoized oracle must account for every call.
+// Dataplane fast-path invariants, each checked against an oracle: a
+// recycled PacketPool packet against a fresh Packet, the parse cache
+// against a fresh ParsedLayers::parse, the AES fast paths against the
+// FIPS-197 reference, FlatFlowTable against std::unordered_map; and the
+// Placer's memoized oracle must account for every call.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
+#include <sstream>
 #include <unordered_map>
 
 #include "src/chain/parser.h"
 #include "src/metacompiler/pisa_oracle.h"
 #include "src/net/flat_table.h"
+#include "src/net/packet_builder.h"
+#include "src/net/packet_pool.h"
 #include "src/nf/crypto/aes128.h"
+#include "src/pisa/phv.h"
 #include "src/placer/placer.h"
-#include "src/runtime/testbed.h"
 
 namespace lemur {
 namespace {
@@ -63,98 +66,178 @@ TEST(PacketPool, ReacquireClearsTheReleasedFlag) {
 
 TEST(PacketPool, ExhaustionFallsBackToHeapAndIsCounted) {
   net::PacketPool pool;
-  // Empty free list: every acquire is a heap fallback, counted both as
-  // an allocation and as an exhaustion event, and never fails.
+  // Empty free list: every acquire is a counted heap allocation, and
+  // never fails.
   net::Packet a = pool.acquire();
   net::Packet b = pool.acquire();
   EXPECT_EQ(pool.stats().allocated, 2u);
-  EXPECT_EQ(pool.stats().exhausted, 2u);
   pool.release(std::move(a));
   pool.release(std::move(b));
   net::Packet c = pool.acquire();  // Now a pool hit.
   EXPECT_EQ(pool.stats().reused, 1u);
-  EXPECT_EQ(pool.stats().exhausted, 2u);
+  EXPECT_EQ(pool.stats().allocated, 2u);
   pool.release(std::move(c));
 }
 
-TEST(PacketPool, PreallocateWarmsTheFreeList) {
+TEST(PacketPool, RecycledPacketIsIndistinguishableFromFresh) {
   net::PacketPool pool;
-  pool.preallocate(8, 256);
-  EXPECT_EQ(pool.free_size(), 8u);
+  net::Packet dirty = pool.acquire();
+  net::PacketBuilder().proto(net::IpProto::kTcp).frame_size(256).build_into(
+      dirty);
+  dirty.hops.push_back({net::HopPlatform::kServer, 3, 1, 7, 10, 20});
+  dirty.arrival_ns = 12345;
+  dirty.ingress_port = 4;
+  dirty.aggregate_id = 9;
+  dirty.drop = true;
+  ASSERT_NE(dirty.layers(), nullptr);  // Leaves a cached parse behind.
+  pool.release(std::move(dirty));
+
   net::Packet pkt = pool.acquire();
-  EXPECT_EQ(pool.stats().reused, 1u);
-  EXPECT_EQ(pool.stats().exhausted, 0u);
-  EXPECT_GE(pkt.data.capacity(), 256u);
-  EXPECT_TRUE(pkt.data.empty());  // Reset, not carrying stale bytes.
+  ASSERT_EQ(pool.stats().reused, 1u);  // The dirty object, recycled.
+  const net::Packet fresh;
+  EXPECT_EQ(pkt.data, fresh.data);
+  EXPECT_EQ(pkt.hops.size(), fresh.hops.size());
+  EXPECT_EQ(pkt.arrival_ns, fresh.arrival_ns);
+  EXPECT_EQ(pkt.ingress_port, fresh.ingress_port);
+  EXPECT_EQ(pkt.aggregate_id, fresh.aggregate_id);
+  EXPECT_EQ(pkt.drop, fresh.drop);
+  // An empty frame has no Ethernet header: the stale TCP parse is gone.
+  EXPECT_EQ(fresh.layers(), nullptr);
+  EXPECT_EQ(pkt.layers(), nullptr);
+  EXPECT_EQ(pkt.mutable_layers(), nullptr);
+
+  // Refilled, it parses its new bytes like a fresh packet does.
+  net::PacketBuilder().frame_size(64).build_into(pkt);
+  const auto* layers = pkt.layers();
+  ASSERT_NE(layers, nullptr);
+  EXPECT_TRUE(layers->udp.has_value());
+  EXPECT_FALSE(layers->tcp.has_value());
   pool.release(std::move(pkt));
 }
 
-TEST(PacketPool, DisabledPoolStillCountsAndNeverRecycles) {
-  net::PacketPool pool;
-  pool.set_enabled(false);
-  net::Packet pkt = pool.acquire();
-  EXPECT_EQ(pool.stats().allocated, 1u);
-  EXPECT_EQ(pool.stats().exhausted, 0u);  // Off is not exhaustion.
-  pool.release(std::move(pkt));
-  EXPECT_EQ(pool.stats().discarded, 1u);
-  EXPECT_EQ(pool.free_size(), 0u);
-}
+// --- Parse cache vs a fresh parse -------------------------------------------
 
-// --- Fast-path measurement parity -------------------------------------------
-
-runtime::Measurement run_rack(bool fast) {
-  // Stateful + crypto mix so the pool, the parse cache, the flat tables
-  // (NAT/Monitor/LB/Dedup) and the AES fast path all carry real traffic.
-  std::vector<chain::ChainSpec> chains = {
-      make_spec("ACL -> Encrypt -> Decrypt -> IPv4Fwd", 0.5, 1),
-      make_spec("NAT -> Monitor -> IPv4Fwd", 0.5, 2),
-      make_spec("LB -> Dedup -> IPv4Fwd", 0.5, 3),
-  };
-  const topo::Topology topo = topo::Topology::lemur_testbed();
-  placer::PlacerOptions options;
-  metacompiler::CompilerOracle oracle(topo);
-  auto placement =
-      placer::place(placer::Strategy::kLemur, chains, topo, options, oracle);
-  EXPECT_TRUE(placement.feasible) << placement.infeasible_reason;
-  auto artifacts = metacompiler::compile(chains, placement, topo);
-  EXPECT_TRUE(artifacts.ok) << artifacts.error;
-
-  net::set_parse_cache_enabled(fast);
-  nf::crypto::set_fast_aes(fast);
-  runtime::Testbed testbed(chains, placement, artifacts, topo);
-  EXPECT_TRUE(testbed.ok()) << testbed.error();
-  testbed.set_pooling(fast);
-  auto m = testbed.run(10.0);
-  EXPECT_EQ(testbed.traces().continuity_errors(), 0u);
-  if (fast) {
-    // The pool and the parse cache must actually be exercised, or this
-    // parity test proves nothing.
-    EXPECT_GT(testbed.packet_pool().stats().reused, 0u);
-    EXPECT_GT(net::parse_cache_stats().hits, 0u);
+// Every header field and every offset of a parse, one line per layer, so
+// a mismatch names what went stale.
+std::string describe(const net::ParsedLayers& l) {
+  std::ostringstream out;
+  out << "eth dst=" << l.eth.dst.to_string() << " src=" << l.eth.src.to_string()
+      << " type=" << l.eth.ether_type << '\n';
+  out << "vlan@" << l.vlan_offset;
+  if (l.vlan) {
+    out << " pcp=" << +l.vlan->pcp << " dei=" << l.vlan->dei
+        << " vid=" << l.vlan->vid << " type=" << l.vlan->ether_type;
   }
-  net::set_parse_cache_enabled(true);
-  nf::crypto::set_fast_aes(true);
-  return m;
+  out << "\nnsh@" << l.nsh_offset;
+  if (l.nsh) {
+    out << " ttl=" << +l.nsh->ttl << " next=" << +l.nsh->next_proto
+        << " spi=" << l.nsh->spi << " si=" << +l.nsh->si;
+  }
+  out << "\nipv4@" << l.ipv4_offset;
+  if (l.ipv4) {
+    out << " dscp=" << +l.ipv4->dscp << " len=" << l.ipv4->total_length
+        << " id=" << l.ipv4->identification << " ttl=" << +l.ipv4->ttl
+        << " proto=" << +l.ipv4->protocol << " csum=" << l.ipv4->checksum
+        << " src=" << l.ipv4->src.value << " dst=" << l.ipv4->dst.value;
+  }
+  out << "\nl4@" << l.l4_offset;
+  if (l.tcp) {
+    out << " tcp sport=" << l.tcp->src_port << " dport=" << l.tcp->dst_port
+        << " seq=" << l.tcp->seq << " ack=" << l.tcp->ack
+        << " flags=" << +l.tcp->flags << " window=" << l.tcp->window;
+  }
+  if (l.udp) {
+    out << " udp sport=" << l.udp->src_port << " dport=" << l.udp->dst_port
+        << " len=" << l.udp->length;
+  }
+  out << "\npayload@" << l.payload_offset;
+  return out.str();
 }
 
-TEST(FastPath, TogglesDoNotChangeMeasuredResults) {
-  const auto fast = run_rack(true);
-  const auto slow = run_rack(false);
-  EXPECT_EQ(fast.offered_packets, slow.offered_packets);
-  EXPECT_EQ(fast.chain_offered, slow.chain_offered);
-  EXPECT_EQ(fast.chain_delivered, slow.chain_delivered);
-  EXPECT_EQ(fast.chain_dropped, slow.chain_dropped);
-  EXPECT_EQ(fast.chain_residual, slow.chain_residual);
-  // Latency is virtual time, so it must match bit-for-bit too.
-  EXPECT_EQ(fast.chain_p50_us, slow.chain_p50_us);
-  EXPECT_EQ(fast.chain_p95_us, slow.chain_p95_us);
-  EXPECT_EQ(fast.chain_p99_us, slow.chain_p99_us);
-  // Both runs conserve packets per chain.
-  for (const auto* m : {&fast, &slow}) {
-    for (std::size_t c = 0; c < m->chain_offered.size(); ++c) {
-      EXPECT_EQ(m->chain_offered[c], m->chain_delivered[c] +
-                                         m->chain_dropped[c] +
-                                         m->chain_residual[c]);
+// One PISA pass that rewrites a random subset of the writable PHV fields
+// and flushes them back to the packet.
+void phv_rewrite(net::Packet& pkt, std::mt19937_64& rng) {
+  static const char* const kWritable[] = {
+      "eth.dst",  "eth.src",  "vlan.vid", "vlan.pcp",  "nsh.spi",  "nsh.si",
+      "ipv4.src", "ipv4.dst", "ipv4.ttl", "ipv4.dscp", "l4.sport", "l4.dport"};
+  pisa::FieldResolver resolver;
+  std::vector<pisa::FieldRef> fields;
+  for (const char* name : kWritable) {
+    if (rng() % 3 == 0) fields.push_back(resolver.resolve(name));
+  }
+  std::vector<std::uint64_t> slots(resolver.slots());
+  pisa::PhvContext phv(pkt, slots);
+  for (const auto& field : fields) phv.set(field, rng());
+  phv.flush();
+}
+
+TEST(ParseCache, MatchesAFreshParseAfterEveryMutation) {
+  std::mt19937_64 rng(11);
+  const auto u16 = [&rng] { return static_cast<std::uint16_t>(rng()); };
+  const auto u8 = [&rng] { return static_cast<std::uint8_t>(rng()); };
+  for (int trial = 0; trial < 200; ++trial) {
+    net::Packet pkt =
+        net::PacketBuilder()
+            .proto(rng() % 2 == 0 ? net::IpProto::kUdp : net::IpProto::kTcp)
+            .src_ip(net::Ipv4Addr{static_cast<std::uint32_t>(rng())})
+            .dst_ip(net::Ipv4Addr{static_cast<std::uint32_t>(rng())})
+            .src_port(u16())
+            .dst_port(u16())
+            .ttl(u8())
+            .frame_size(64 + rng() % 200)
+            .build();
+    for (int step = 0; step < 40; ++step) {
+      const net::ParsedLayers* layers = pkt.layers();
+      ASSERT_NE(layers, nullptr);
+      const auto op = rng() % 10;
+      switch (op) {
+        case 0:
+          if (layers->ipv4) {
+            net::Ipv4Header h = *layers->ipv4;
+            h.ttl = u8();
+            h.dscp = u8() & 0x3f;
+            h.dst = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+            net::patch_ipv4(pkt, *layers, h);
+          }
+          break;
+        case 1:
+          net::patch_l4_ports(pkt, *layers, u16(), u16());
+          break;
+        case 2: {
+          net::MacAddr mac;
+          for (auto& b : mac.bytes) b = u8();
+          net::patch_eth_dst(pkt, mac);
+          break;
+        }
+        case 3:
+          net::set_nsh(pkt, rng() & net::NshHeader::kMaxSpi, u8());
+          break;
+        case 4:
+          if (!layers->vlan) net::push_vlan(pkt, u16() & 0xfff, u8() & 7);
+          break;
+        case 5:
+          net::pop_vlan(pkt);
+          break;
+        case 6:
+          net::push_nsh(pkt, rng() & net::NshHeader::kMaxSpi, u8());
+          break;
+        case 7:
+          net::pop_nsh(pkt);
+          break;
+        case 8:
+          phv_rewrite(pkt, rng);
+          break;
+        default:  // A direct write into the Ethernet source MAC.
+          pkt.data[6 + rng() % 6] = u8();
+          pkt.invalidate_layers();
+          break;
+      }
+      const auto fresh = net::ParsedLayers::parse(pkt);
+      const net::ParsedLayers* cached = pkt.layers();
+      ASSERT_TRUE(fresh.has_value());
+      ASSERT_NE(cached, nullptr);
+      ASSERT_EQ(describe(*cached), describe(*fresh))
+          << "trial " << trial << " step " << step << " op " << op;
     }
   }
 }
@@ -239,37 +322,45 @@ TEST(FlatFlowTable, IteratorEraseVisitsEveryRemainingEntry) {
   }
 }
 
-// --- AES fast path ----------------------------------------------------------
+// --- AES fast paths vs the FIPS-197 reference -------------------------------
 
 TEST(FastAes, BitIdenticalToReference) {
+  // Both fast paths run on every host: encrypt_block/decrypt_block take
+  // AES-NI where the CPU has it, and the T-table path is called directly.
+  using Block = std::array<std::uint8_t, nf::crypto::Aes128::kBlockSize>;
   std::mt19937_64 rng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::array<std::uint8_t, 16> key{};
-    std::array<std::uint8_t, 16> iv{};
-    for (auto& b : key) b = static_cast<std::uint8_t>(rng());
-    for (auto& b : iv) b = static_cast<std::uint8_t>(rng());
-    // Odd length exercises the partial-block keystream tail.
-    std::vector<std::uint8_t> plain(237);
-    for (auto& b : plain) b = static_cast<std::uint8_t>(rng());
-
+  const auto random_block = [&rng] {
+    Block b{};
+    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng());
+    return b;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Block key = random_block();
     const nf::crypto::Aes128 cipher(key);
-    auto fast = plain;
-    nf::crypto::set_fast_aes(true);
-    nf::crypto::aes128_cbc_encrypt(cipher, iv, fast);
-    auto ref = plain;
-    nf::crypto::set_fast_aes(false);
-    nf::crypto::aes128_cbc_encrypt(cipher, iv, ref);
-    EXPECT_EQ(fast, ref);
 
-    // Cross-decrypt: reference decrypts the fast ciphertext and back.
-    nf::crypto::set_fast_aes(false);
-    nf::crypto::aes128_cbc_decrypt(cipher, iv, fast);
-    EXPECT_EQ(fast, plain);
-    nf::crypto::set_fast_aes(true);
-    nf::crypto::aes128_cbc_decrypt(cipher, iv, ref);
+    const Block plain = random_block();
+    Block ref = plain;
+    cipher.encrypt_reference(ref);
+    Block tables = plain;
+    cipher.encrypt_tables(tables);
+    Block block = plain;
+    cipher.encrypt_block(block);
+    EXPECT_EQ(tables, ref);
+    EXPECT_EQ(block, ref);
+
+    const Block cipher_text = random_block();
+    Block dref = cipher_text;
+    cipher.decrypt_reference(dref);
+    Block dtables = cipher_text;
+    cipher.decrypt_tables(dtables);
+    Block dblock = cipher_text;
+    cipher.decrypt_block(dblock);
+    EXPECT_EQ(dtables, dref);
+    EXPECT_EQ(dblock, dref);
+
+    cipher.decrypt_reference(ref);
     EXPECT_EQ(ref, plain);
   }
-  nf::crypto::set_fast_aes(true);
 }
 
 // --- Placer oracle memoization ----------------------------------------------
