@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/chain/parser.h"
+#include "src/metacompiler/pisa_oracle.h"
+#include "src/placer/caching_oracle.h"
 #include "src/placer/placer.h"
 
 namespace lemur::placer {
@@ -508,6 +510,111 @@ TEST(Strategies, PlacementTimeRecorded) {
       place(Strategy::kLemur, chains, fx.topo, fx.options, fx.oracle);
   EXPECT_GT(result.placement_seconds, 0.0);
   EXPECT_LT(result.placement_seconds, 10.0);
+}
+
+// --- Incremental re-placement ----------------------------------------------------
+
+std::vector<int> all_chains(std::size_t n) {
+  std::vector<int> out;
+  for (std::size_t c = 0; c < n; ++c) out.push_back(static_cast<int>(c));
+  return out;
+}
+
+TEST(Incremental, AllAffectedOnHealthyRackMatchesPlace) {
+  // With every chain affected and nothing failed, re-placement starts from
+  // the same patterns and may move every chain, so it must decide exactly
+  // what place(kLemur) decides (these inputs carry no latency bound, so
+  // place()'s latency repair never runs). delta 2.0 adds infeasible cases,
+  // which must stay infeasible.
+  const PlacerOptions options;
+  const std::vector<std::vector<int>> sets = {{1}, {2, 3}, {1, 2, 3, 4},
+                                              {3, 5}};
+  const std::vector<topo::Topology> topos = {
+      topo::Topology::multi_server(1, 8), topo::Topology::multi_server(2, 8),
+      topo::Topology::multi_server(4, 8),
+      topo::Topology::lemur_testbed_with_smartnic()};
+  int feasible = 0;
+  for (const auto& topo : topos) {
+    for (const auto& set : sets) {
+      for (const double delta : {0.3, 0.9, 2.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "servers=" << topo.servers.size() << " smartnics="
+                     << topo.smartnics.size() << " chains=" << set.size()
+                     << " first=" << set.front() << " delta=" << delta);
+        const auto chains = chains_with_delta(set, delta, topo, options);
+        metacompiler::CompilerOracle compiler(topo);
+        const auto placed =
+            place(Strategy::kLemur, chains, topo, options, compiler);
+        CachingOracle cached(compiler);
+        const auto replaced = replace_incremental(
+            chains, topo, placed, all_chains(chains.size()), options, cached);
+        ASSERT_EQ(replaced.feasible, placed.feasible)
+            << replaced.infeasible_reason << " / " << placed.infeasible_reason;
+        if (!placed.feasible) continue;
+        ++feasible;
+        ASSERT_EQ(replaced.chains.size(), placed.chains.size());
+        for (std::size_t c = 0; c < placed.chains.size(); ++c) {
+          const auto& want = placed.chains[c].nodes;
+          const auto& got = replaced.chains[c].nodes;
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t n = 0; n < want.size(); ++n) {
+            EXPECT_EQ(got[n].target, want[n].target) << "chain " << c;
+            EXPECT_EQ(got[n].smartnic, want[n].smartnic) << "chain " << c;
+          }
+        }
+        ASSERT_EQ(replaced.subgroups.size(), placed.subgroups.size());
+        for (std::size_t g = 0; g < placed.subgroups.size(); ++g) {
+          EXPECT_EQ(replaced.subgroups[g].nodes, placed.subgroups[g].nodes);
+          EXPECT_EQ(replaced.subgroups[g].server, placed.subgroups[g].server);
+          EXPECT_EQ(replaced.subgroups[g].cores, placed.subgroups[g].cores);
+        }
+        EXPECT_DOUBLE_EQ(replaced.aggregate_gbps, placed.aggregate_gbps);
+        EXPECT_EQ(replaced.pisa_stages_used, placed.pisa_stages_used);
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+}
+
+TEST(Incremental, NoAffectedChainKeepsItsPattern) {
+  StrategyFixture fx;
+  auto chains = chains_with_delta({1, 2, 3}, 0.5, fx.topo, fx.options);
+  const auto placed =
+      place(Strategy::kLemur, chains, fx.topo, fx.options, fx.oracle);
+  ASSERT_TRUE(placed.feasible) << placed.infeasible_reason;
+  CachingOracle cached(fx.oracle);
+  const auto replaced =
+      replace_incremental(chains, fx.topo, placed, {}, fx.options, cached);
+  ASSERT_TRUE(replaced.feasible) << replaced.infeasible_reason;
+  EXPECT_EQ(replaced.strategy, placed.strategy);
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    const auto& want = placed.chains[c].nodes;
+    const auto& got = replaced.chains[c].nodes;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t n = 0; n < want.size(); ++n) {
+      EXPECT_EQ(got[n].target, want[n].target) << "chain " << c;
+    }
+  }
+}
+
+TEST(Incremental, UnaffectedChainsAreNeverDemoted) {
+  // A placement decided on the full switch does not fit a 4-stage one;
+  // with no affected chain, nothing may be demoted to make it fit.
+  StrategyFixture fx;
+  auto chains = chains_with_delta({2}, 0.5, fx.topo, fx.options);
+  const auto placed =
+      place(Strategy::kLemur, chains, fx.topo, fx.options, fx.oracle);
+  ASSERT_TRUE(placed.feasible) << placed.infeasible_reason;
+  topo::PisaSwitchSpec tiny;
+  tiny.stages = 4;
+  EstimateOracle tight(tiny);
+  const auto replaced =
+      replace_incremental(chains, fx.topo, placed, {}, fx.options, tight);
+  EXPECT_FALSE(replaced.feasible);
+  EXPECT_EQ(replaced.infeasible_reason,
+            "incremental re-place: affected chains cannot shrink the switch "
+            "program further");
+  EXPECT_EQ(replaced.strategy, placed.strategy);
 }
 
 // Property: for every strategy that reports feasible, the assigned rates
