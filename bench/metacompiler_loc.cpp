@@ -29,12 +29,9 @@ int main() {
   bench::print_header("Generated code, chains {1,2,3,4}");
   std::printf("%-26s %10s %12s %10s\n", "target", "total", "generated",
               "fraction");
-  const int p4_total =
-      artifacts.p4.coordination_lines + artifacts.p4.library_lines;
-  std::printf("%-26s %10d %12d %9.0f%%\n", "P4 (unified program)", p4_total,
-              artifacts.p4.coordination_lines,
-              100.0 * artifacts.p4.coordination_lines /
-                  std::max(1, p4_total));
+  std::printf("%-26s %10d %12d %9.0f%%\n", "P4 (unified program)",
+              artifacts.p4_loc.total, artifacts.p4_loc.generated,
+              100.0 * artifacts.p4_loc.generated_fraction());
   for (const auto& plan : artifacts.server_plans) {
     if (plan.segments.empty()) continue;
     const auto loc = plan.loc_summary(chains);

@@ -1,11 +1,36 @@
 #include "src/metacompiler/metacompiler.h"
 
-#include <sstream>
+#include <map>
 
 #include "src/pisa/compiler.h"
+#include "src/pisa/p4_printer.h"
 #include "src/verify/verifier.h"
 
 namespace lemur::metacompiler {
+
+CompiledArtifacts::Loc count_p4_loc(const P4Artifact& p4) {
+  const pisa::P4Program& prog = p4.program;
+  pisa::P4Program library_only = prog;
+  library_only.tables.clear();
+  library_only.control.clear();
+  std::map<int, int> remap;
+  for (std::size_t i = 0; i < prog.tables.size(); ++i) {
+    if (p4.coordination_tables.count(prog.tables[i].name) != 0) continue;
+    remap[static_cast<int>(i)] = static_cast<int>(library_only.tables.size());
+    library_only.tables.push_back(prog.tables[i]);
+  }
+  for (const auto& apply : prog.control) {
+    auto it = remap.find(apply.table);
+    if (it == remap.end()) continue;
+    pisa::TableApply kept = apply;
+    kept.table = it->second;
+    library_only.control.push_back(std::move(kept));
+  }
+  CompiledArtifacts::Loc loc;
+  loc.total = pisa::count_program_lines(prog);
+  loc.generated = loc.total - pisa::count_program_lines(library_only);
+  return loc;
+}
 
 CompiledArtifacts compile(const std::vector<chain::ChainSpec>& chains,
                           const placer::PlacementResult& placement,
@@ -121,8 +146,8 @@ CompiledArtifacts compile(const std::vector<chain::ChainSpec>& chains,
   }
 
   // LoC accounting across targets.
-  out.loc.total = out.p4.coordination_lines + out.p4.library_lines;
-  out.loc.generated = out.p4.coordination_lines;
+  out.p4_loc = count_p4_loc(out.p4);
+  out.loc = out.p4_loc;
   for (const auto& plan : out.server_plans) {
     const auto summary = plan.loc_summary(chains);
     out.loc.total += summary.total;

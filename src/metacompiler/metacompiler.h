@@ -65,6 +65,7 @@ struct CompiledArtifacts {
       return total > 0 ? static_cast<double>(generated) / total : 0;
     }
   };
+  Loc p4_loc;  ///< The unified P4 program's share of `loc`.
   Loc loc;
 
   /// Findings of the deployment verifier (compile -> verify -> deploy).
@@ -80,6 +81,12 @@ struct CompileOptions {
   /// subcommand) or deliberately build partial artifacts in tests.
   bool run_verifier = true;
 };
+
+/// Lines of `p4`'s program attributable to coordination (its
+/// coordination tables) vs. NF library code — the paper's
+/// "auto-generated code" accounting (section 5.3). Pretty-prints the
+/// program twice, so only compile() runs it, never the placer's oracle.
+CompiledArtifacts::Loc count_p4_loc(const P4Artifact& p4);
 
 /// Compiles the placement into runnable artifacts. The placement must be
 /// feasible and its chain order must match `chains`.

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/nf/p4/p4_nfs.h"
-#include "src/pisa/p4_printer.h"
 
 namespace lemur::metacompiler {
 namespace {
@@ -141,7 +140,6 @@ class Composer {
       }
       add_chain_steering_entries(static_cast<int>(c));
     }
-    finish_loc_accounting();
     artifact_.program = std::move(prog_);
     return artifact_;
   }
@@ -229,7 +227,7 @@ class Composer {
     steer.actions = {enter, fwd, push_fwd, pop_out, deny};
     steer.default_action = "steer_deny";
     prog_.tables.push_back(std::move(steer));
-    coordination_tables_.insert("lemur_steer");
+    artifact_.coordination_tables.insert("lemur_steer");
     prog_.control.push_back(TableApply{0, {}});
   }
 
@@ -486,7 +484,7 @@ class Composer {
     // conditioned, unmatched traffic keeps no downstream bits (parked).
     split.default_action = "set_branch";
     split.default_params = {0, analysis.keep_mask(node_id, 0, graph)};
-    coordination_tables_.insert(split.name);
+    artifact_.coordination_tables.insert(split.name);
 
     // Entries: one per conditioned edge, pruning to the taken subtree.
     int priority = 100;
@@ -545,7 +543,7 @@ class Composer {
     }
     route.actions = {act};
     route.default_action = "route";
-    coordination_tables_.insert(route.name);
+    artifact_.coordination_tables.insert(route.name);
 
     const int table_index = static_cast<int>(prog_.tables.size());
     prog_.tables.push_back(std::move(route));
@@ -553,32 +551,6 @@ class Composer {
     apply.table = table_index;
     apply.guard = guard;
     prog_.control.push_back(std::move(apply));
-  }
-
-  // --- LoC accounting -----------------------------------------------------------
-
-  void finish_loc_accounting() {
-    const int total = pisa::count_program_lines(prog_);
-    P4Program library_only = prog_;
-    std::vector<TableDef> kept_tables;
-    std::vector<TableApply> kept_control;
-    std::map<int, int> remap;
-    for (std::size_t i = 0; i < prog_.tables.size(); ++i) {
-      if (coordination_tables_.count(prog_.tables[i].name) != 0) continue;
-      remap[static_cast<int>(i)] = static_cast<int>(kept_tables.size());
-      kept_tables.push_back(prog_.tables[i]);
-    }
-    for (const auto& apply : prog_.control) {
-      auto it = remap.find(apply.table);
-      if (it == remap.end()) continue;
-      TableApply kept = apply;
-      kept.table = it->second;
-      kept_control.push_back(std::move(kept));
-    }
-    library_only.tables = std::move(kept_tables);
-    library_only.control = std::move(kept_control);
-    artifact_.library_lines = pisa::count_program_lines(library_only);
-    artifact_.coordination_lines = total - artifact_.library_lines;
   }
 
   const std::vector<chain::ChainSpec>& chains_;
@@ -593,7 +565,6 @@ class Composer {
   /// (chain, entry node) -> initial reachability path mask.
   std::map<std::pair<int, int>, std::uint64_t> entry_path_mask_;
   int next_region_id_ = 1;
-  std::set<std::string> coordination_tables_;
 };
 
 }  // namespace

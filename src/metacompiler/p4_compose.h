@@ -14,6 +14,7 @@
 //     compiler packs them into shared stages (optimization (d)).
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,9 @@ struct P4Artifact {
   /// deployment verifier's independent re-audit) can inspect stage and
   /// memory usage before anything is loaded.
   pisa::CompileResult compiled;
-  /// Lines of generated P4 attributable to coordination (steering,
-  /// splitting, routing) vs. NF library code — the paper's
-  /// "auto-generated code" accounting (section 5.3).
-  int coordination_lines = 0;
-  int library_lines = 0;
+  /// Names of the generated coordination tables (steering, splitting,
+  /// exit routing), as opposed to NF library tables.
+  std::set<std::string> coordination_tables;
   std::string error;  ///< Nonempty when composition failed (parser clash).
 
   [[nodiscard]] bool ok() const { return error.empty(); }

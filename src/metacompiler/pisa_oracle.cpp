@@ -9,8 +9,6 @@ namespace lemur::metacompiler {
 placer::SwitchOracle::Check CompilerOracle::check(
     const std::vector<chain::ChainSpec>& chains,
     const std::vector<std::vector<int>>& pisa_nodes) {
-  auto cached = cache_.find(pisa_nodes);
-  if (cached != cache_.end()) return cached->second;
   ++invocations_;
 
   // Build a provisional pattern: proposed nodes on the switch, everything
@@ -34,14 +32,12 @@ placer::SwitchOracle::Check CompilerOracle::check(
   if (!artifact.ok()) {
     out.error = artifact.error;
     out.stages_required = topo_.tor.stages + 1;
-    cache_.emplace(pisa_nodes, out);
     return out;
   }
   const auto compiled = pisa::compile(artifact.program, topo_.tor);
   out.fits = compiled.ok;
   out.stages_required = compiled.stages_required;
   out.error = compiled.error;
-  cache_.emplace(pisa_nodes, out);
   return out;
 }
 

@@ -40,11 +40,8 @@ class CachingOracle final : public SwitchOracle {
     return result;
   }
 
+  /// Cumulative counters over the wrapper's lifetime.
   [[nodiscard]] const PlacementStats& stats() const { return stats_; }
-
-  /// Cumulative counters survive reset-less reuse; call between phases if
-  /// per-phase hit rates are wanted.
-  void reset_stats() { stats_ = PlacementStats{}; }
 
  private:
   struct KeyHash {

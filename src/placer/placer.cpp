@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
-#include <unordered_map>
 
 #include "src/placer/caching_oracle.h"
 
@@ -24,6 +22,27 @@ std::vector<std::vector<int>> pisa_nodes_of(
   return out;
 }
 
+std::vector<Pattern> hw_preferred_patterns(
+    const std::vector<chain::ChainSpec>& chains, const topo::Topology& topo,
+    const PlacerOptions& options) {
+  std::vector<Pattern> out(chains.size());
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    out[c] = hw_preferred_pattern(chains[c], topo, options);
+  }
+  return out;
+}
+
+/// An infeasible result: `reason`, against the chains' summed t_min.
+PlacementResult infeasible(const std::vector<chain::ChainSpec>& chains,
+                           std::string reason) {
+  PlacementResult out;
+  out.infeasible_reason = std::move(reason);
+  for (const auto& spec : chains) {
+    out.aggregate_t_min_gbps += spec.slo.t_min_gbps;
+  }
+  return out;
+}
+
 /// Evaluates a candidate: allocation under belief, scoring under belief.
 PlacementResult score_candidate(std::vector<Pattern> patterns,
                                 int stages_used, AllocMode mode,
@@ -33,14 +52,7 @@ PlacementResult score_candidate(std::vector<Pattern> patterns,
   Deployment d = make_deployment(chains, std::move(patterns), topo, belief);
   d.pisa_stages_used = stages_used;
   auto alloc = allocate_cores(d, chains, topo, belief, mode);
-  if (!alloc.ok) {
-    PlacementResult out;
-    out.infeasible_reason = alloc.reason;
-    for (const auto& spec : chains) {
-      out.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-    }
-    return out;
-  }
+  if (!alloc.ok) return infeasible(chains, alloc.reason);
   return evaluate(d, chains, topo, belief);
 }
 
@@ -213,36 +225,32 @@ void apply_coalesce(std::vector<Pattern>& patterns,
               .target = Target::kServer;
 }
 
-PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
-                          const topo::Topology& topo,
-                          const PlacerOptions& belief, SwitchOracle& oracle,
-                          AllocMode alloc_mode) {
-  // Step 1: greedy hardware placement, trimmed to fit the switch.
-  std::vector<Pattern> baseline(chains.size());
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    baseline[c] = hw_preferred_pattern(chains[c], topo, belief);
-  }
-  const int stages = fit_to_switch(baseline, chains, topo, belief, oracle);
-  if (stages < 0) {
-    PlacementResult out;
-    out.infeasible_reason =
-        "switch-pinned NFs alone exceed the pipeline stages";
-    for (const auto& spec : chains) {
-      out.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-    }
-    return out;
-  }
+/// Steps 1-3 of the Lemur heuristic from `patterns`, where only `movable`
+/// chains are demoted or coalesced: fit the switch (step 1, updating
+/// `patterns` in place), build the two coalescing variants (step 2), and
+/// score every variant under each core-allocation search (step 3),
+/// raising `best` to the best outcome. Returns the fitted program's stage
+/// count, or -1 when the movable chains cannot shrink it enough.
+int lemur_search(std::vector<Pattern>& patterns,
+                 const std::vector<bool>& movable, AllocMode alloc_mode,
+                 const std::vector<chain::ChainSpec>& chains,
+                 const topo::Topology& topo, const PlacerOptions& belief,
+                 SwitchOracle& oracle, PlacementResult& best) {
+  const int stages =
+      fit_to_switch(patterns, movable, chains, topo, belief, oracle);
+  if (stages < 0) return stages;
 
   // Step 2: coalescing variants. Offloads only remove switch NFs, so the
   // stage constraint keeps holding.
   auto build_variant = [&](CoalesceRule extra) {
-    std::vector<Pattern> variant = baseline;
+    std::vector<Pattern> variant = patterns;
     // Iterate until no candidate coalesces (offloading one NF can expose
     // another candidate).
     bool changed = true;
     while (changed) {
       changed = false;
       for (const auto& cand : coalesce_candidates(variant, chains)) {
+        if (!movable[static_cast<std::size_t>(cand.chain)]) continue;
         if (should_coalesce(cand, CoalesceRule::kStrict, variant, chains,
                             topo, belief) ||
             should_coalesce(cand, extra, variant, chains, topo, belief)) {
@@ -268,17 +276,27 @@ PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
           ? std::vector<AllocMode>{AllocMode::kNone}
           : std::vector<AllocMode>{AllocMode::kMaximizeMarginal,
                                    AllocMode::kSequentialSlo};
-  PlacementResult best;
-  best.infeasible_reason = "no variant scored";
-  for (const auto& spec : chains) {
-    best.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-  }
-  for (const auto& variant : {baseline, aggressive, conservative}) {
+  for (const auto& variant : {patterns, aggressive, conservative}) {
     for (const auto mode : alloc_modes) {
       auto result =
           score_candidate(variant, stages, mode, chains, topo, belief);
       if (better_result(result, best)) best = result;
     }
+  }
+  return stages;
+}
+
+PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
+                          const topo::Topology& topo,
+                          const PlacerOptions& belief, SwitchOracle& oracle,
+                          AllocMode alloc_mode) {
+  // Every chain starts hardware-preferred and may move.
+  std::vector<Pattern> baseline = hw_preferred_patterns(chains, topo, belief);
+  PlacementResult best = infeasible(chains, "no variant scored");
+  if (lemur_search(baseline, std::vector<bool>(chains.size(), true),
+                   alloc_mode, chains, topo, belief, oracle, best) < 0) {
+    return infeasible(chains,
+                      "switch-pinned NFs alone exceed the pipeline stages");
   }
 
   // Latency repair: when a chain carries a d_max, explore low-bounce
@@ -315,17 +333,7 @@ PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
         }
       }
     }
-    const auto check = oracle.check(chains, [&] {
-      std::vector<std::vector<int>> nodes(chains.size());
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        for (std::size_t id = 0; id < repaired[c].size(); ++id) {
-          if (repaired[c][id].target == Target::kPisa) {
-            nodes[c].push_back(static_cast<int>(id));
-          }
-        }
-      }
-      return nodes;
-    }());
+    const auto check = oracle.check(chains, pisa_nodes_of(repaired));
     if (check.fits) {
       auto result = score_candidate(repaired, check.stages_required,
                                     alloc_mode, chains, topo, belief);
@@ -370,11 +378,8 @@ PlacementResult run_optimal(const std::vector<chain::ChainSpec>& chains,
   // Joint search over the beam cross product, oracle-checked. Repeat
   // combinations are deduplicated by the CachingOracle wrapper place()
   // installs, shared with the heuristic path that seeds this search.
-  PlacementResult best;
-  best.infeasible_reason = "no pattern combination fits the switch";
-  for (const auto& spec : chains) {
-    best.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-  }
+  PlacementResult best =
+      infeasible(chains, "no pattern combination fits the switch");
 
   std::vector<std::size_t> index(chains.size(), 0);
   const std::size_t kComboCap = 5000;
@@ -432,12 +437,7 @@ PlacementResult run_min_bounce(const std::vector<chain::ChainSpec>& chains,
   }
   const auto check = oracle.check(chains, pisa_nodes_of(patterns));
   if (!check.fits) {
-    PlacementResult out;
-    out.infeasible_reason = "min-bounce placement: " + check.error;
-    for (const auto& spec : chains) {
-      out.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-    }
-    return out;
+    return infeasible(chains, "min-bounce placement: " + check.error);
   }
   return score_best_alloc(patterns, check.stages_required, chains, topo,
                           belief);
@@ -471,55 +471,42 @@ Pattern sw_pattern(const chain::ChainSpec& spec) {
 }
 
 int fit_to_switch(std::vector<Pattern>& patterns,
+                  const std::vector<bool>& movable,
                   const std::vector<chain::ChainSpec>& chains,
                   const topo::Topology& topo, const PlacerOptions& options,
                   SwitchOracle& oracle) {
   while (true) {
     const auto check = oracle.check(chains, pisa_nodes_of(patterns));
     if (check.fits) return check.stages_required;
-    // Demote the cheapest PISA-placed NF: the switch is line-rate for
-    // whatever fits, so evicting low-cost NFs loses the least server
-    // capacity (section 3.2, step 1). NFs with no legal off-switch
-    // target (e.g. the evaluation's P4-only IPv4Fwd) cannot be demoted.
-    int best_chain = -1;
-    int best_node = -1;
+    // Demote the cheapest PISA-placed NF of a movable chain: the switch is
+    // line-rate for whatever fits, so evicting low-cost NFs loses the
+    // least server capacity (section 3.2, step 1). NFs with no legal
+    // off-switch target (e.g. the evaluation's P4-only IPv4Fwd) cannot be
+    // demoted.
+    NodePlacement* best = nullptr;
+    Target demoted = Target::kServer;
     std::uint64_t best_cycles = ~0ull;
     for (std::size_t c = 0; c < chains.size(); ++c) {
+      if (!movable[c]) continue;
       for (const auto& node : chains[c].graph.nodes()) {
-        if (patterns[c][static_cast<std::size_t>(node.id)].target !=
-            Target::kPisa) {
-          continue;
-        }
-        const auto node_targets = allowed_targets(
+        auto& placed = patterns[c][static_cast<std::size_t>(node.id)];
+        if (placed.target != Target::kPisa) continue;
+        const auto targets = allowed_targets(
             node, topo, options, chains[c].graph.is_branch_or_merge(node.id));
-        if (node_targets.size() < 2) continue;  // PISA-only: pinned.
+        if (targets.size() < 2) continue;  // PISA-only: pinned.
         const auto cycles =
             profiled_cycles(node, topo.servers.front(), options);
         if (cycles < best_cycles) {
           best_cycles = cycles;
-          best_chain = static_cast<int>(c);
-          best_node = node.id;
+          best = &placed;
+          // The next-preferred allowed target after PISA.
+          demoted = *std::find_if(targets.begin(), targets.end(),
+                                  [](Target t) { return t != Target::kPisa; });
         }
       }
     }
-    if (best_chain < 0) return -1;  // Only pinned NFs left: cannot fit.
-    // Demote to the next-preferred allowed target after PISA.
-    const auto& node = chains[static_cast<std::size_t>(best_chain)]
-                           .graph.node(best_node);
-    const auto targets = allowed_targets(
-        node, topo, options,
-        chains[static_cast<std::size_t>(best_chain)]
-            .graph.is_branch_or_merge(best_node));
-    Target demoted = Target::kServer;
-    for (const auto t : targets) {
-      if (t != Target::kPisa) {
-        demoted = t;
-        break;
-      }
-    }
-    patterns[static_cast<std::size_t>(best_chain)]
-            [static_cast<std::size_t>(best_node)]
-                .target = demoted;
+    if (best == nullptr) return -1;  // Only pinned NFs left: cannot fit.
+    best->target = demoted;
   }
 }
 
@@ -598,22 +585,23 @@ PlacementResult place(Strategy strategy,
     case Strategy::kMinimumBounce:
       decided = run_min_bounce(chains, topo, belief, cached_oracle);
       break;
-    case Strategy::kHwPreferred: {
-      std::vector<Pattern> patterns(chains.size());
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        patterns[c] = hw_preferred_pattern(chains[c], topo, belief);
-      }
+    case Strategy::kHwPreferred:
+    case Strategy::kGreedy: {
+      // Both keep every chain hardware-preferred; they differ only in how
+      // cores are handed out.
+      const bool greedy = strategy == Strategy::kGreedy;
+      auto patterns = hw_preferred_patterns(chains, topo, belief);
       const auto check = cached_oracle.check(chains, pisa_nodes_of(patterns));
       if (!check.fits) {
-        decided.infeasible_reason = "hw-preferred placement: " + check.error;
-        for (const auto& spec : chains) {
-          decided.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-        }
+        decided = infeasible(chains, std::string(greedy ? "greedy"
+                                                        : "hw-preferred") +
+                                         " placement: " + check.error);
         break;
       }
-      decided = score_candidate(std::move(patterns), check.stages_required,
-                                AllocMode::kEvenSpread, chains, topo,
-                                belief);
+      decided = score_candidate(
+          std::move(patterns), check.stages_required,
+          greedy ? AllocMode::kSequentialSlo : AllocMode::kEvenSpread, chains,
+          topo, belief);
       break;
     }
     case Strategy::kSwPreferred: {
@@ -623,24 +611,6 @@ PlacementResult place(Strategy strategy,
       }
       decided = score_candidate(std::move(patterns), 0,
                                 AllocMode::kMaximizeMarginal, chains, topo,
-                                belief);
-      break;
-    }
-    case Strategy::kGreedy: {
-      std::vector<Pattern> patterns(chains.size());
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        patterns[c] = hw_preferred_pattern(chains[c], topo, belief);
-      }
-      const auto check = cached_oracle.check(chains, pisa_nodes_of(patterns));
-      if (!check.fits) {
-        decided.infeasible_reason = "greedy placement: " + check.error;
-        for (const auto& spec : chains) {
-          decided.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-        }
-        break;
-      }
-      decided = score_candidate(std::move(patterns), check.stages_required,
-                                AllocMode::kSequentialSlo, chains, topo,
                                 belief);
       break;
     }
@@ -673,21 +643,11 @@ PlacementResult replace_incremental(const std::vector<chain::ChainSpec>& chains,
     }
   }
 
-  auto infeasible = [&](const std::string& reason) {
-    PlacementResult out;
-    out.infeasible_reason = reason;
-    out.strategy = previous.strategy;
-    for (const auto& spec : chains) {
-      out.aggregate_t_min_gbps += spec.slo.t_min_gbps;
-    }
-    return out;
-  };
-
   // Unaffected chains keep the patterns the previous placement decided;
   // only affected chains restart from the hardware-preferred pattern on
-  // the degraded topology. Because the kept node sets are byte-identical
-  // to the previous run's, every oracle probe they participate in hits a
-  // persistent CachingOracle.
+  // the degraded topology, and only they may move. Because the kept node
+  // sets are byte-identical to the previous run's, every oracle probe they
+  // participate in hits a persistent CachingOracle.
   std::vector<Pattern> baseline(chains.size());
   for (std::size_t c = 0; c < chains.size(); ++c) {
     const bool reusable =
@@ -697,94 +657,15 @@ PlacementResult replace_incremental(const std::vector<chain::ChainSpec>& chains,
                            : hw_preferred_pattern(chains[c], degraded_topo,
                                                   belief);
   }
-
-  // fit_to_switch restricted to the affected chains: unaffected chains'
-  // switch programs are already deployed and must not churn.
-  int stages = -1;
-  while (true) {
-    const auto check = oracle.check(chains, pisa_nodes_of(baseline));
-    if (check.fits) {
-      stages = check.stages_required;
-      break;
-    }
-    int best_chain = -1;
-    int best_node = -1;
-    std::uint64_t best_cycles = ~0ull;
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-      if (!affected[c]) continue;
-      for (const auto& node : chains[c].graph.nodes()) {
-        if (baseline[c][static_cast<std::size_t>(node.id)].target !=
-            Target::kPisa) {
-          continue;
-        }
-        const auto node_targets =
-            allowed_targets(node, degraded_topo, belief,
-                            chains[c].graph.is_branch_or_merge(node.id));
-        if (node_targets.size() < 2) continue;
-        const auto cycles =
-            profiled_cycles(node, degraded_topo.servers.front(), belief);
-        if (cycles < best_cycles) {
-          best_cycles = cycles;
-          best_chain = static_cast<int>(c);
-          best_node = node.id;
-        }
-      }
-    }
-    if (best_chain < 0) {
-      return infeasible(
-          "incremental re-place: affected chains cannot shrink the switch "
-          "program further");
-    }
-    const auto& node =
-        chains[static_cast<std::size_t>(best_chain)].graph.node(best_node);
-    const auto targets = allowed_targets(
-        node, degraded_topo, belief,
-        chains[static_cast<std::size_t>(best_chain)]
-            .graph.is_branch_or_merge(best_node));
-    Target demoted = Target::kServer;
-    for (const auto t : targets) {
-      if (t != Target::kPisa) {
-        demoted = t;
-        break;
-      }
-    }
-    baseline[static_cast<std::size_t>(best_chain)]
-            [static_cast<std::size_t>(best_node)]
-                .target = demoted;
-  }
-
-  // Coalescing variants, mutating affected chains only.
-  auto build_variant = [&](CoalesceRule extra) {
-    std::vector<Pattern> variant = baseline;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& cand : coalesce_candidates(variant, chains)) {
-        if (!affected[static_cast<std::size_t>(cand.chain)]) continue;
-        if (should_coalesce(cand, CoalesceRule::kStrict, variant, chains,
-                            degraded_topo, belief) ||
-            should_coalesce(cand, extra, variant, chains, degraded_topo,
-                            belief)) {
-          apply_coalesce(variant, cand);
-          changed = true;
-        }
-      }
-    }
-    return variant;
-  };
-  const std::vector<Pattern> aggressive =
-      build_variant(CoalesceRule::kAggressive);
-  const std::vector<Pattern> conservative =
-      build_variant(CoalesceRule::kConservative);
-
-  PlacementResult best = infeasible("no incremental variant scored");
-  for (const auto& variant : {baseline, aggressive, conservative}) {
-    for (const auto mode :
-         {AllocMode::kMaximizeMarginal, AllocMode::kSequentialSlo}) {
-      auto result = score_candidate(variant, stages, mode, chains,
-                                    degraded_topo, belief);
-      if (better_result(result, best)) best = result;
-    }
+  PlacementResult best = infeasible(chains, "no incremental variant scored");
+  if (lemur_search(baseline, affected, AllocMode::kMaximizeMarginal, chains,
+                   degraded_topo, belief, oracle, best) < 0) {
+    PlacementResult out = infeasible(
+        chains,
+        "incremental re-place: affected chains cannot shrink the switch "
+        "program further");
+    out.strategy = previous.strategy;
+    return out;
   }
 
   PlacementResult out = finalize(best, chains, degraded_topo, truth);

@@ -22,14 +22,17 @@ PlacementResult place(Strategy strategy,
                       const topo::Topology& topo,
                       const PlacerOptions& options, SwitchOracle& oracle);
 
-/// Incremental re-placement after a fault: chains in `affected_chains`
-/// are re-placed from scratch on `degraded_topo` (whose failed elements
-/// contribute zero cores / zero link capacity and are excluded from
-/// pattern targets), while every other chain keeps the pattern it had in
-/// `previous` — so when `oracle` is a persistent CachingOracle the
+/// Incremental re-placement after a fault: the same heuristic place()
+/// runs for Strategy::kLemur (switch fit, coalescing variants, core
+/// allocation search), with the unaffected chains frozen. Chains in
+/// `affected_chains` restart from the hardware-preferred pattern on
+/// `degraded_topo` (whose failed elements contribute zero cores / zero
+/// link capacity and are excluded from pattern targets) and are the only
+/// ones demoted or coalesced; every other chain keeps the pattern it had
+/// in `previous`, so when `oracle` is a persistent CachingOracle the
 /// unaffected subgroups' switch probes all hit cache. Core allocation and
-/// the rate LP re-run globally (rack capacity changed), coalescing and
-/// switch-fit demotion mutate affected chains only.
+/// the rate LP re-run globally (rack capacity changed). Unlike place(),
+/// it does not run latency repair.
 PlacementResult replace_incremental(const std::vector<chain::ChainSpec>& chains,
                                     const topo::Topology& degraded_topo,
                                     const PlacementResult& previous,
@@ -47,11 +50,12 @@ Pattern hw_preferred_pattern(const chain::ChainSpec& spec,
 /// All-software pattern.
 Pattern sw_pattern(const chain::ChainSpec& spec);
 
-/// Step 1 of the heuristic: demote the lowest-cycle-cost PISA NF until
-/// the oracle accepts. Returns the stage count of the accepted program,
-/// or -1 when the remaining (pinned, P4-only) NFs alone overflow the
-/// switch.
+/// Step 1 of the heuristic: demote the lowest-cycle-cost PISA NF of a
+/// `movable` chain until the oracle accepts. Returns the stage count of
+/// the accepted program, or -1 when the remaining (pinned, P4-only, or
+/// frozen) NFs alone overflow the switch.
 int fit_to_switch(std::vector<Pattern>& patterns,
+                  const std::vector<bool>& movable,
                   const std::vector<chain::ChainSpec>& chains,
                   const topo::Topology& topo, const PlacerOptions& options,
                   SwitchOracle& oracle);

@@ -8,6 +8,7 @@
 #include "src/metacompiler/pisa_oracle.h"
 #include "src/nic/verifier.h"
 #include "src/pisa/compiler.h"
+#include "src/placer/caching_oracle.h"
 #include "src/placer/placer.h"
 
 namespace lemur::metacompiler {
@@ -159,8 +160,10 @@ TEST(Compose, MixedChainGeneratesSteeringAndRouting) {
     if (table.name.find("_route_") != std::string::npos) ++route_tables;
   }
   EXPECT_EQ(route_tables, 2);
-  EXPECT_GT(artifact.coordination_lines, 0);
-  EXPECT_GT(artifact.library_lines, 0);
+  EXPECT_EQ(artifact.coordination_tables.count("lemur_steer"), 1u);
+  const auto loc = count_p4_loc(artifact);
+  EXPECT_GT(loc.generated, 0);               // Coordination lines.
+  EXPECT_GT(loc.total - loc.generated, 0);   // NF library lines.
   auto compiled = pisa::compile(artifact.program, fx.topo.tor);
   EXPECT_TRUE(compiled.ok) << compiled.error;
 }
@@ -243,15 +246,37 @@ TEST(Oracle, CompilerOracleAcceptsAndRejects) {
 }
 
 TEST(Oracle, CachesRepeatInvocations) {
+  // The memo lives in the placer's CachingOracle; the compiler oracle
+  // behind it only sees the misses.
   topo::Topology topo = topo::Topology::lemur_testbed();
-  CompilerOracle oracle(topo);
+  CompilerOracle compiler(topo);
+  placer::CachingOracle oracle(compiler);
   auto spec = make_spec("ACL -> IPv4Fwd");
   std::vector<ChainSpec> chains = {spec};
   oracle.check(chains, {{0, 1}});
+  EXPECT_EQ(compiler.compile_invocations(), 1);
   oracle.check(chains, {{0, 1}});
-  EXPECT_EQ(oracle.compile_invocations(), 1);
+  EXPECT_EQ(compiler.compile_invocations(), 1);
   oracle.check(chains, {{1}});
-  EXPECT_EQ(oracle.compile_invocations(), 2);
+  EXPECT_EQ(compiler.compile_invocations(), 2);
+  EXPECT_EQ(oracle.stats().oracle_hits, 1u);
+}
+
+TEST(Oracle, AnswersForTheChainsItIsGiven) {
+  // The same node ids of a different chain get that chain's answer, not
+  // one remembered from an earlier query.
+  topo::Topology topo = topo::Topology::lemur_testbed();
+  CompilerOracle oracle(topo);
+  const std::vector<ChainSpec> small = {make_spec("ACL -> IPv4Fwd")};
+  const std::vector<ChainSpec> large = {make_spec("Monitor -> Tunnel")};
+  const auto first = oracle.check(small, {{0, 1}});
+  EXPECT_TRUE(first.fits) << first.error;
+  const auto fresh = CompilerOracle(topo).check(large, {{0, 1}});
+  EXPECT_FALSE(fresh.fits);
+  const auto reused = oracle.check(large, {{0, 1}});
+  EXPECT_EQ(reused.fits, fresh.fits);
+  EXPECT_EQ(reused.stages_required, fresh.stages_required);
+  EXPECT_EQ(reused.error, fresh.error);
 }
 
 TEST(Oracle, RealOracleBeatsConservativeEstimate) {

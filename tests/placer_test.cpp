@@ -455,7 +455,7 @@ TEST(Strategies, FitToSwitchDemotesUntilOracleAccepts) {
   std::vector<Pattern> patterns = {
       hw_preferred_pattern(chains[0], fx.topo, fx.options)};
   const int stages =
-      fit_to_switch(patterns, chains, fx.topo, fx.options, tight);
+      fit_to_switch(patterns, {true}, chains, fx.topo, fx.options, tight);
   EXPECT_LE(stages, 4);
   auto result = place(Strategy::kLemur, chains, fx.topo, fx.options, tight);
   EXPECT_TRUE(result.feasible) << result.infeasible_reason;
