@@ -31,8 +31,8 @@ void BM_NshEncapDecapCycles(benchmark::State& state) {
   for (auto _ : state) {
     std::uint64_t cycles = 0;
     bess::Context ctx(&cycles, 1.7, &rng);
-    bess::NshEncap encap("encap", 1, 255);
-    bess::NshDecap decap("decap");
+    bess::NshEncap encap(1, 255);
+    bess::NshDecap decap;
     decap.map(1, 255, 0);
     encap.connect(0, &decap);
     encap.process(ctx, make_batch(32, false));
@@ -52,8 +52,7 @@ void BM_SteeringCycles(benchmark::State& state) {
   for (auto _ : state) {
     std::uint64_t cycles = 0;
     bess::Context ctx(&cycles, 1.7, &rng);
-    bess::LoadBalanceSteer steer("steer",
-                                 static_cast<int>(state.range(0)));
+    bess::LoadBalanceSteer steer(static_cast<int>(state.range(0)));
     steer.process(ctx, make_batch(32, false));
     total_cycles += cycles;
     total_packets += 32;
@@ -94,7 +93,7 @@ void BM_P4EncapDecapStageCost(benchmark::State& state) {
     mixed[2].target = Target::kPisa;
     std::vector<metacompiler::ChainRouting> routing = {
         metacompiler::build_routing(spec, mixed, 0)};
-    auto artifact = metacompiler::compose_p4({spec}, routing, {}, topo, {});
+    auto artifact = metacompiler::compose_p4({spec}, routing, {});
     with_nsh_stages =
         pisa::compile(artifact.program, topo.tor).stages_required;
 
@@ -107,8 +106,7 @@ void BM_P4EncapDecapStageCost(benchmark::State& state) {
     pattern[1].target = Target::kPisa;
     std::vector<metacompiler::ChainRouting> routing2 = {
         metacompiler::build_routing(all_p4, pattern, 0)};
-    auto artifact2 =
-        metacompiler::compose_p4({all_p4}, routing2, {}, topo, {});
+    auto artifact2 = metacompiler::compose_p4({all_p4}, routing2, {});
     without_nsh_stages =
         pisa::compile(artifact2.program, topo.tor).stages_required;
     benchmark::DoNotOptimize(with_nsh_stages);

@@ -41,16 +41,12 @@ chain::ChainSpec extreme_chain(int nats) {
   return spec;
 }
 
-pisa::P4Program all_switch_program(const chain::ChainSpec& spec,
-                                   const topo::Topology& topo) {
+pisa::P4Program all_switch_program(const chain::ChainSpec& spec) {
   placer::Pattern pattern(spec.graph.nodes().size());
   for (auto& p : pattern) p.target = placer::Target::kPisa;
   std::vector<metacompiler::ChainRouting> routings = {
       metacompiler::build_routing(spec, pattern, 0)};
-  metacompiler::PortMap ports;
-  auto artifact =
-      metacompiler::compose_p4({spec}, routings, {}, topo, ports);
-  return artifact.program;
+  return metacompiler::compose_p4({spec}, routings, {}).program;
 }
 
 }  // namespace
@@ -68,7 +64,7 @@ int main() {
               "conservative (paper 14)", "compiler (paper 12)");
   for (int nats : {9, 10, 11}) {
     auto spec = extreme_chain(nats);
-    auto program = all_switch_program(spec, topo);
+    auto program = all_switch_program(spec);
     const int naive = pisa::estimate_stages_conservative(program);
     const auto conservative =
         pisa::compile(program, topo.tor, /*exclusivity_aware=*/false);

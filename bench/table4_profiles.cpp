@@ -42,7 +42,7 @@ Stats profile(const ProfiledNf& target, double numa_factor,
   const int kBatch = 32;
   std::mt19937_64 rng(seed);
   auto nf_impl = nf::make_software_nf(target.type, target.config);
-  nf::NfModule module("profiled", std::move(nf_impl));
+  nf::NfModule module(std::move(nf_impl));
   bess::Sink sink;
   module.connect(0, &sink);
   for (int run = 0; run < kRuns; ++run) {

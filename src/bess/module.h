@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "src/net/batch.h"
@@ -77,7 +76,7 @@ class Context {
 /// consumes the batch and pushes packets downstream with emit().
 class Module {
  public:
-  explicit Module(std::string name) : name_(std::move(name)) {}
+  Module() = default;
   virtual ~Module() = default;
 
   Module(const Module&) = delete;
@@ -91,7 +90,6 @@ class Module {
   /// ascending order starting from 0.
   void connect(int ogate, Module* next);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t num_ogates() const { return ogates_.size(); }
 
   [[nodiscard]] std::uint64_t packets_in() const { return packets_in_; }
@@ -124,7 +122,6 @@ class Module {
   }
 
  private:
-  std::string name_;
   std::vector<Module*> ogates_;
   std::uint64_t packets_in_ = 0;
   std::uint64_t drops_total_ = 0;
@@ -134,7 +131,6 @@ class Module {
 /// Terminal module that counts and discards everything it receives.
 class Sink : public Module {
  public:
-  explicit Sink(std::string name = "sink") : Module(std::move(name)) {}
   void process(Context& ctx, net::PacketBatch&& batch) override;
   [[nodiscard]] std::uint64_t packets() const { return packets_; }
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }

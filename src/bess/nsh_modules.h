@@ -18,8 +18,6 @@ class NshDecap : public Module {
   /// Half of the paper's ~220-cycle encap+decap overhead.
   static constexpr std::uint64_t kDecapCyclesPerPacket = 110;
 
-  explicit NshDecap(std::string name) : Module(std::move(name)) {}
-
   /// Routes packets carrying (spi, si) to `ogate`. Unmapped packets are
   /// dropped and counted.
   void map(std::uint32_t spi, std::uint8_t si, int ogate);
@@ -43,8 +41,7 @@ class NshEncap : public Module {
  public:
   static constexpr std::uint64_t kEncapCyclesPerPacket = 110;
 
-  NshEncap(std::string name, std::uint32_t spi, std::uint8_t si)
-      : Module(std::move(name)), spi_(spi), si_(si) {}
+  NshEncap(std::uint32_t spi, std::uint8_t si) : spi_(spi), si_(si) {}
 
   void process(Context& ctx, net::PacketBatch&& batch) override;
 
@@ -63,8 +60,7 @@ class LoadBalanceSteer : public Module {
   /// allocated multiple cores.
   static constexpr std::uint64_t kSteerCyclesPerPacket = 180;
 
-  LoadBalanceSteer(std::string name, int replicas)
-      : Module(std::move(name)), replicas_(replicas) {}
+  explicit LoadBalanceSteer(int replicas) : replicas_(replicas) {}
 
   void process(Context& ctx, net::PacketBatch&& batch) override;
 

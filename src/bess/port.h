@@ -37,8 +37,7 @@ class PortInc : public Module {
   /// Per-batch cost of the poll-mode driver (rx descriptor handling).
   static constexpr std::uint64_t kPollCyclesPerBatch = 50;
 
-  PortInc(std::string name, PacketSource* source)
-      : Module(std::move(name)), source_(source) {}
+  explicit PortInc(PacketSource* source) : source_(source) {}
 
   void process(Context& ctx, net::PacketBatch&& batch) override;
 
@@ -57,8 +56,7 @@ class PortOut : public Module {
   /// Per-packet tx descriptor cost.
   static constexpr std::uint64_t kTxCyclesPerPacket = 20;
 
-  explicit PortOut(std::string name, PacketSink* sink = nullptr)
-      : Module(std::move(name)), sink_(sink) {}
+  explicit PortOut(PacketSink* sink = nullptr) : sink_(sink) {}
 
   void process(Context& ctx, net::PacketBatch&& batch) override;
 

@@ -11,8 +11,7 @@ namespace lemur::bess {
 
 class Queue : public Module {
  public:
-  explicit Queue(std::string name, std::size_t capacity = 1024)
-      : Module(std::move(name)), capacity_(capacity) {}
+  explicit Queue(std::size_t capacity = 1024) : capacity_(capacity) {}
 
   void process(Context& ctx, net::PacketBatch&& batch) override;
 

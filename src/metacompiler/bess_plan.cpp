@@ -1,5 +1,7 @@
 #include "src/metacompiler/bess_plan.h"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 namespace lemur::metacompiler {
@@ -19,6 +21,31 @@ std::vector<nf::MatchRule> steering_rules(const chain::NfGraph& graph,
     out.push_back(rule);
   }
   return out;
+}
+
+/// Schedules every replica of `plan` on a worker core (appendix A.1.3).
+/// Shared-core groups land on one physical core; dedicated replicas fill
+/// cores sequentially after the demultiplexer's core 0 — socket 0 first,
+/// matching the paper's observation that same-socket placement often
+/// beats the worst-case cross-NUMA profile. Claims past the last core
+/// stay on it.
+void assign_cores(ServerPlan& plan, int num_cores) {
+  int next_core = 1;
+  auto claim = [&] { return std::min(next_core++, num_cores - 1); };
+  std::map<int, int> shared_core_of_group;
+  for (auto& seg : plan.segments) {
+    for (int& core : seg.replica_cores) {
+      if (seg.core_group < 0) {
+        core = claim();
+        continue;
+      }
+      auto it = shared_core_of_group.find(seg.core_group);
+      if (it == shared_core_of_group.end()) {
+        it = shared_core_of_group.emplace(seg.core_group, claim()).first;
+      }
+      core = it->second;
+    }
+  }
 }
 
 }  // namespace
@@ -44,31 +71,22 @@ std::vector<ServerPlan> build_bess_plans(
       plan.spi_in = segment.entries.front().spi;
       plan.si_in = segment.entries.front().si;
 
-      int server = 0;
-      for (const auto& g : subgroups) {
-        if (g.chain == static_cast<int>(c) && g.nodes == segment.nodes) {
-          server = g.server;
-          plan.cores = g.cores;
-          plan.core_group = g.shared_core;
-          plan.traffic_fraction = g.traffic_fraction;
-          break;
-        }
+      // An unresolved segment gets one replica on server 0, where the
+      // verifier reports it as unauthorized.
+      const int server = std::max(segment.server, 0);
+      int replicas = 1;
+      if (segment.subgroup >= 0) {
+        const auto& g = subgroups[static_cast<std::size_t>(segment.subgroup)];
+        replicas = std::max(g.cores, 0);
+        plan.core_group = g.shared_core;
+        plan.traffic_fraction = g.traffic_fraction;
       }
+      plan.replica_cores.assign(static_cast<std::size_t>(replicas), 0);
 
       for (const auto& exit : segment.exits) {
-        BessSegmentPlan::Exit e;
-        e.gate = exit.gate;
-        if (exit.next_segment < 0) {
-          e.spi = routing.spi;
-          e.si = 0;  // Chain egress sentinel.
-        } else {
-          const auto& next = routing.segments[static_cast<std::size_t>(
-              exit.next_segment)];
-          const auto* entry = next.entry_for(exit.next_entry_node);
-          e.spi = entry->spi;
-          e.si = entry->si;
-        }
-        plan.exits.push_back(e);
+        const Handoff handoff = routing.handoff(exit);
+        plan.exits.push_back(
+            {exit.gate, handoff.spi, handoff.si, handoff.local_to(server)});
       }
 
       const int tail = segment.nodes.back();
@@ -78,6 +96,10 @@ std::vector<ServerPlan> build_bess_plans(
       plans[static_cast<std::size_t>(server)].segments.push_back(
           std::move(plan));
     }
+  }
+  for (auto& plan : plans) {
+    assign_cores(plan, topo.servers[static_cast<std::size_t>(plan.server)]
+                           .total_cores());
   }
   return plans;
 }
@@ -92,24 +114,23 @@ std::string ServerPlan::print_script(
   out << "nsh_mux_out = PortOut(port='nic0')       # coordination\n";
   out << "port_inc -> nsh_decap                    # coordination\n";
 
-  int core = 1;  // Core 0 runs the demultiplexer.
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const auto& seg = segments[i];
     const auto& graph = chains[static_cast<std::size_t>(seg.chain)].graph;
     const std::string id = "c" + std::to_string(seg.chain) + "_s" +
                            std::to_string(i);
     out << "# chain " << seg.chain << " subgroup: spi=" << seg.spi_in
-        << " si=" << static_cast<int>(seg.si_in) << " cores=" << seg.cores
-        << "\n";
-    for (int r = 0; r < seg.cores; ++r) {
+        << " si=" << static_cast<int>(seg.si_in)
+        << " cores=" << seg.replicas() << "\n";
+    for (int r = 0; r < seg.replicas(); ++r) {
       out << "q_" << id << "_r" << r << " = Queue()  # coordination\n";
     }
-    if (seg.cores > 1) {
-      out << "steer_" << id << " = RoundRobin(gates=" << seg.cores
+    if (seg.replicas() > 1) {
+      out << "steer_" << id << " = RoundRobin(gates=" << seg.replicas()
           << ")  # coordination\n";
       out << "nsh_decap:" << i << " -> steer_" << id
           << "  # coordination\n";
-      for (int r = 0; r < seg.cores; ++r) {
+      for (int r = 0; r < seg.replicas(); ++r) {
         out << "steer_" << id << ":" << r << " -> q_" << id << "_r" << r
             << "  # coordination\n";
       }
@@ -137,10 +158,10 @@ std::string ServerPlan::print_script(
       out << prev << ":" << exit.gate << " -> nsh_encap_" << id << "_g"
           << exit.gate << " -> nsh_mux_out  # coordination\n";
     }
-    for (int r = 0; r < seg.cores; ++r) {
-      out << "bess.attach_task('q_" << id << "_r" << r << "', wid=" << core
+    for (int r = 0; r < seg.replicas(); ++r) {
+      out << "bess.attach_task('q_" << id << "_r" << r
+          << "', wid=" << seg.replica_cores[static_cast<std::size_t>(r)]
           << ")  # coordination\n";
-      ++core;
     }
   }
   return out.str();

@@ -19,7 +19,9 @@ namespace lemur::metacompiler {
 struct BessSegmentPlan {
   int chain = 0;
   std::vector<int> nodes;  ///< Chain node ids, execution order.
-  int cores = 1;
+  /// Worker core of each replica (appendix A.1.3). Core 0 runs the
+  /// demultiplexer; a shared-core group's members all get its one core.
+  std::vector<int> replica_cores;
   /// >= 0: run on the shared core carrying this group id (round-robin
   /// with the other members, appendix A.1.3); -1 = dedicated core(s).
   int core_group = -1;
@@ -33,12 +35,18 @@ struct BessSegmentPlan {
     int gate = 0;
     std::uint32_t spi = 0;
     std::uint8_t si = 0;  ///< si 0 = chain egress.
+    /// The next segment runs on this server: the hand-off loops back
+    /// into the demultiplexer without crossing the ToR.
+    bool local = false;
   };
   std::vector<Exit> exits;  ///< Per output gate of the last node.
 
   /// Generated steering rules appended after a non-Match branching NF
   /// (the auto-generated demux the paper's metacompiler emits).
   std::vector<nf::MatchRule> generated_steering;
+  [[nodiscard]] int replicas() const {
+    return static_cast<int>(replica_cores.size());
+  }
   [[nodiscard]] bool needs_generated_steering() const {
     return !generated_steering.empty();
   }
@@ -62,7 +70,9 @@ struct ServerPlan {
       const std::vector<chain::ChainSpec>& chains) const;
 };
 
-/// Builds the per-server plans for every server-placed segment.
+/// Builds the per-server plans for every server-placed segment of
+/// `routings`, which resolve_placement() has resolved against the
+/// placement `subgroups` come from.
 std::vector<ServerPlan> build_bess_plans(
     const std::vector<chain::ChainSpec>& chains,
     const std::vector<ChainRouting>& routings,

@@ -46,16 +46,17 @@ CompiledArtifacts compile(const std::vector<chain::ChainSpec>& chains,
     return out;
   }
 
-  // Routing decomposition per chain.
+  // Routing decomposition per chain, each segment resolved to where it
+  // runs; every generator below reads the resolution from the routing.
   for (std::size_t c = 0; c < chains.size(); ++c) {
     out.routings.push_back(build_routing(
         chains[c], placement.chains[c].nodes, static_cast<int>(c)));
+    resolve_placement(out.routings.back(), placement, topo);
   }
 
   // Unified P4 program + steering entries.
   PortMap ports;
-  out.p4 = compose_p4(chains, out.routings, placement.subgroups, topo,
-                      ports);
+  out.p4 = compose_p4(chains, out.routings, ports);
   if (!out.p4.ok()) {
     out.error = "P4 composition failed: " + out.p4.error;
     return out;
@@ -85,22 +86,18 @@ CompiledArtifacts compile(const std::vector<chain::ChainSpec>& chains,
       NicArtifact artifact;
       artifact.chain = static_cast<int>(c);
       artifact.node = node_id;
+      artifact.smartnic =
+          placement.chains[c].nodes[static_cast<std::size_t>(node_id)]
+              .smartnic;
       artifact.type = node.type;
       artifact.program = std::move(*program);
       artifact.spi_in = segment.entries.front().spi;
       artifact.si_in = segment.entries.front().si;
       // NIC NFs are non-branching: single exit.
-      const auto& exit = segment.exits.front();
-      if (exit.next_segment < 0) {
-        artifact.spi_out = routing.spi;
-        artifact.si_out = 0;
-      } else {
-        const auto& next = routing.segments[static_cast<std::size_t>(
-            exit.next_segment)];
-        const auto* entry = next.entry_for(exit.next_entry_node);
-        artifact.spi_out = entry->spi;
-        artifact.si_out = entry->si;
-      }
+      const Handoff handoff = routing.handoff(segment.exits.front());
+      artifact.spi_out = handoff.spi;
+      artifact.si_out = handoff.si;
+      artifact.local_out = handoff.local_to(segment.server);
       out.nic_programs.push_back(std::move(artifact));
     }
   }
@@ -120,17 +117,9 @@ CompiledArtifacts compile(const std::vector<chain::ChainSpec>& chains,
       const auto& entry = segment.entries.front();
       artifact.spi_in = entry.spi;
       artifact.si_in = entry.si;
-      const auto& exit = segment.exits.front();
-      if (exit.next_segment < 0) {
-        artifact.spi_out = routing.spi;
-        artifact.si_out = 0;
-      } else {
-        const auto& next = routing.segments[static_cast<std::size_t>(
-            exit.next_segment)];
-        const auto* next_entry = next.entry_for(exit.next_entry_node);
-        artifact.spi_out = next_entry->spi;
-        artifact.si_out = next_entry->si;
-      }
+      const Handoff handoff = routing.handoff(segment.exits.front());
+      artifact.spi_out = handoff.spi;
+      artifact.si_out = handoff.si;
       // Checked packing: a service path that does not fit the 12-bit vid
       // must never be wrapped onto the wire (section 5.3). vid 0 marks
       // the encoding as unassigned; the verifier turns it into a hard

@@ -20,13 +20,16 @@ namespace lemur::metacompiler {
 struct NicArtifact {
   int chain = 0;
   int node = 0;
-  int smartnic = 0;
+  int smartnic = 0;  ///< Topology::smartnics index the program loads onto.
   nf::NfType type = nf::NfType::kAcl;
   nic::Program program;
   std::uint32_t spi_in = 0;
   std::uint8_t si_in = 255;
   std::uint32_t spi_out = 0;
   std::uint8_t si_out = 0;
+  /// The next segment runs on the server this NIC sits in front of: the
+  /// packet enters that server's dataplane without crossing the ToR.
+  bool local_out = false;
 };
 
 /// OpenFlow rules for an OF-placed NF, tagged with its VLAN-encoded

@@ -121,14 +121,8 @@ class RegionAnalysis {
 class Composer {
  public:
   Composer(const std::vector<chain::ChainSpec>& chains,
-           const std::vector<ChainRouting>& routings,
-           const std::vector<placer::Subgroup>& subgroups,
-           const topo::Topology& topo, const PortMap& ports)
-      : chains_(chains),
-        routings_(routings),
-        subgroups_(subgroups),
-        topo_(topo),
-        ports_(ports) {}
+           const std::vector<ChainRouting>& routings, const PortMap& ports)
+      : chains_(chains), routings_(routings), ports_(ports) {}
 
   P4Artifact run() {
     init_parser_and_headers();
@@ -291,31 +285,11 @@ class Composer {
     artifact_.entries.emplace_back("lemur_steer", std::move(out));
   }
 
+  /// ToR egress port reaching a non-switch segment. Unresolved segments
+  /// (oracle probes of provisional patterns) go to server 0.
   std::uint32_t port_of(const Segment& segment) const {
-    switch (segment.target) {
-      case placer::Target::kServer: {
-        // The placer subgroup with the same node set carries the server.
-        for (const auto& g : subgroups_) {
-          if (g.chain == segment.chain && g.nodes == segment.nodes) {
-            return ports_.server(g.server);
-          }
-        }
-        return ports_.server(0);
-      }
-      case placer::Target::kSmartNic: {
-        const int nic = 0;  // Single-NIC topologies in the paper's setup.
-        return ports_.server(
-            topo_.smartnics.empty()
-                ? 0
-                : topo_.smartnics[static_cast<std::size_t>(nic)]
-                      .attached_server);
-      }
-      case placer::Target::kOpenFlow:
-        return ports_.of_switch;
-      case placer::Target::kPisa:
-        return 0;  // Unused.
-    }
-    return 0;
+    if (segment.target == placer::Target::kOpenFlow) return ports_.of_switch;
+    return ports_.server(std::max(segment.server, 0));
   }
 
   // --- P4 regions ---------------------------------------------------------------
@@ -532,14 +506,13 @@ class Composer {
       act.ops.push_back(op(PrimitiveOp::Kind::kEgressParam, "", 0));
       route.default_params = {ports_.network_egress};
     } else {
-      const auto& routing = routings_[static_cast<std::size_t>(c)];
-      const auto& next =
-          routing.segments[static_cast<std::size_t>(exit.next_segment)];
-      const auto* entry = next.entry_for(exit.next_entry_node);
+      const Handoff handoff =
+          routings_[static_cast<std::size_t>(c)].handoff(exit);
       act.num_params = 3;
       act.ops.push_back(op(PrimitiveOp::Kind::kPushNshParams, "", 0));
       act.ops.push_back(op(PrimitiveOp::Kind::kEgressParam, "", 2));
-      route.default_params = {entry->spi, entry->si, port_of(next)};
+      route.default_params = {handoff.spi, handoff.si,
+                              port_of(*handoff.next)};
     }
     route.actions = {act};
     route.default_action = "route";
@@ -555,8 +528,6 @@ class Composer {
 
   const std::vector<chain::ChainSpec>& chains_;
   const std::vector<ChainRouting>& routings_;
-  const std::vector<placer::Subgroup>& subgroups_;
-  const topo::Topology& topo_;
   const PortMap& ports_;
 
   P4Program prog_;
@@ -577,9 +548,8 @@ std::uint64_t aggregate_prefix_mask() { return 0xffff0000ull; }
 
 P4Artifact compose_p4(const std::vector<chain::ChainSpec>& chains,
                       const std::vector<ChainRouting>& routings,
-                      const std::vector<placer::Subgroup>& subgroups,
-                      const topo::Topology& topo, const PortMap& ports) {
-  Composer composer(chains, routings, subgroups, topo, ports);
+                      const PortMap& ports) {
+  Composer composer(chains, routings, ports);
   return composer.run();
 }
 

@@ -56,11 +56,10 @@ std::uint32_t aggregate_prefix_value(std::uint32_t aggregate_id);
 std::uint64_t aggregate_prefix_mask();
 
 /// Composes the unified program for all chains. `routings` must align
-/// with `chains`; `servers` gives each chain-segment's server assignment
-/// via the placer subgroups (used to pick egress ports for exits).
+/// with `chains`; each segment's resolved server picks the egress port of
+/// hand-offs to it.
 P4Artifact compose_p4(const std::vector<chain::ChainSpec>& chains,
                       const std::vector<ChainRouting>& routings,
-                      const std::vector<placer::Subgroup>& subgroups,
-                      const topo::Topology& topo, const PortMap& ports);
+                      const PortMap& ports);
 
 }  // namespace lemur::metacompiler

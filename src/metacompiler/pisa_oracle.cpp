@@ -28,7 +28,7 @@ placer::SwitchOracle::Check CompilerOracle::check(
 
   Check out;
   PortMap ports;
-  auto artifact = compose_p4(chains, routings, {}, topo_, ports);
+  auto artifact = compose_p4(chains, routings, ports);
   if (!artifact.ok()) {
     out.error = artifact.error;
     out.stages_required = topo_.tor.stages + 1;

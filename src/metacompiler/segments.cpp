@@ -55,6 +55,13 @@ const Segment& ChainRouting::ingress_segment() const {
   return segments[static_cast<std::size_t>(segment_of(source_node))];
 }
 
+Handoff ChainRouting::handoff(const SegmentExit& exit) const {
+  if (exit.next_segment < 0) return {spi, 0, nullptr};
+  const auto& next = segments[static_cast<std::size_t>(exit.next_segment)];
+  const auto* entry = next.entry_for(exit.next_entry_node);
+  return {entry->spi, entry->si, &next};
+}
+
 SegmentIndex::SegmentIndex(const std::vector<ChainRouting>& routings) {
   for (const auto& routing : routings) {
     for (const auto& segment : routing.segments) {
@@ -196,6 +203,32 @@ ChainRouting build_routing(const chain::ChainSpec& spec,
     }
   }
   return out;
+}
+
+void resolve_placement(ChainRouting& routing,
+                       const placer::PlacementResult& placement,
+                       const topo::Topology& topo) {
+  const auto& pattern =
+      placement.chains[static_cast<std::size_t>(routing.chain)].nodes;
+  for (auto& segment : routing.segments) {
+    if (segment.target == Target::kServer) {
+      for (std::size_t g = 0; g < placement.subgroups.size(); ++g) {
+        const auto& group = placement.subgroups[g];
+        if (group.chain == segment.chain && group.nodes == segment.nodes) {
+          segment.subgroup = static_cast<int>(g);
+          segment.server = group.server;
+          break;
+        }
+      }
+    } else if (segment.target == Target::kSmartNic) {
+      const int nic =
+          pattern[static_cast<std::size_t>(segment.nodes.front())].smartnic;
+      if (nic >= 0 && nic < static_cast<int>(topo.smartnics.size())) {
+        segment.server =
+            topo.smartnics[static_cast<std::size_t>(nic)].attached_server;
+      }
+    }
+  }
 }
 
 }  // namespace lemur::metacompiler

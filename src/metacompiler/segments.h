@@ -8,6 +8,9 @@
 //    A.2.2's subgroup DAG), possibly via multiple entry points.
 //  - SmartNIC and OpenFlow NFs form single-node segments.
 //
+// resolve_placement() then records where each segment of a final
+// placement runs, once, for every code generator.
+//
 // An exit edge records where traffic goes next (segment id + entry node)
 // and under which branch condition, giving every code generator the same
 // view of the chain's routing.
@@ -50,9 +53,29 @@ struct Segment {
   std::vector<int> nodes;  ///< In topological order.
   std::vector<SegmentEntry> entries;
   std::vector<SegmentExit> exits;
+  /// Set by resolve_placement(); -1 while unresolved.
+  int subgroup = -1;  ///< Index into PlacementResult::subgroups (kServer).
+  /// The server whose ToR port reaches the segment: a server segment's
+  /// subgroup server, a SmartNIC segment's attached server.
+  int server = -1;
 
   [[nodiscard]] bool contains(int node) const;
   [[nodiscard]] const SegmentEntry* entry_for(int node) const;
+};
+
+/// Where an exit hands packets off: the NSH (SPI, SI) to re-encapsulate
+/// with, and the segment that entry belongs to (nullptr at chain egress,
+/// which carries SI 0).
+struct Handoff {
+  std::uint32_t spi = 0;
+  std::uint8_t si = 0;
+  const Segment* next = nullptr;
+
+  /// The next segment runs on server `s`: the hand-off skips the ToR.
+  [[nodiscard]] bool local_to(int s) const {
+    return next != nullptr && next->target == placer::Target::kServer &&
+           next->server == s;
+  }
 };
 
 struct ChainRouting {
@@ -65,12 +88,22 @@ struct ChainRouting {
   [[nodiscard]] int segment_of(int node) const;
   /// The segment entered by chain ingress traffic.
   [[nodiscard]] const Segment& ingress_segment() const;
+  /// The hand-off `exit` (of one of this chain's segments) performs.
+  [[nodiscard]] Handoff handoff(const SegmentExit& exit) const;
 };
 
 /// Decomposes one placed chain. `chain_index` determines the SPI
-/// (chain_index + 1). Patterns must be placement-final.
+/// (chain_index + 1). Reads only each NF's target, so a provisional
+/// pattern routes too; its segments stay unresolved.
 ChainRouting build_routing(const chain::ChainSpec& spec,
                            const placer::Pattern& pattern, int chain_index);
+
+/// Resolves each segment of `routing` against the final `placement`: a
+/// server segment's subgroup (the one with its node set) and server, a
+/// SmartNIC segment's attached server.
+void resolve_placement(ChainRouting& routing,
+                       const placer::PlacementResult& placement,
+                       const topo::Topology& topo);
 
 /// What a packet's NSH coordinates point at: the segment (and entry node)
 /// it is about to execute.

@@ -11,8 +11,7 @@ std::uint64_t worst_case_cycles(NfType type, const NfConfig& config) {
   return static_cast<std::uint64_t>(mean * (1.0 + kCostJitter));
 }
 
-NfModule::NfModule(std::string name, std::unique_ptr<SoftwareNf> nf)
-    : Module(std::move(name)), nf_(std::move(nf)) {}
+NfModule::NfModule(std::unique_ptr<SoftwareNf> nf) : nf_(std::move(nf)) {}
 
 void NfModule::process(bess::Context& ctx, net::PacketBatch&& batch) {
   count_in(batch);

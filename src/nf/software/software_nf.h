@@ -147,7 +147,7 @@ std::uint64_t worst_case_cycles(NfType type, const NfConfig& config);
 /// decision.
 class NfModule : public bess::Module {
  public:
-  NfModule(std::string name, std::unique_ptr<SoftwareNf> nf);
+  explicit NfModule(std::unique_ptr<SoftwareNf> nf);
 
   void process(bess::Context& ctx, net::PacketBatch&& batch) override;
 

@@ -13,17 +13,6 @@ namespace {
 
 constexpr metacompiler::PortMap kPorts;
 
-/// Which bucket a drop by ToR table `table_name` belongs to: the
-/// metacompiler's coordination tables (steering/routing) drop unrouted
-/// traffic, everything else is an NF's own verdict (ACL deny, ...).
-telemetry::DropCause classify_tor_drop(const std::string& table_name) {
-  if (table_name.find("steer") != std::string::npos ||
-      table_name.find("_route_") != std::string::npos) {
-    return telemetry::DropCause::kRoutingMiss;
-  }
-  return telemetry::DropCause::kNfVerdict;
-}
-
 /// "[rule] locus: message" of a report's first error-severity finding.
 std::string first_error(const verify::Report& report) {
   for (const auto& d : report.diagnostics) {
@@ -141,7 +130,6 @@ Testbed::Testbed(const std::vector<chain::ChainSpec>& chains,
 
 void Testbed::build() {
   error_.clear();
-  endpoints_.clear();
   tor_.reset();
   servers_.clear();
   server_of_port_.clear();
@@ -157,7 +145,6 @@ void Testbed::build() {
   // swap (the degraded plan routes nothing at them anyway).
   server_dead_.resize(topo_->servers.size(), 0);
   bounce_ns_ = static_cast<std::uint64_t>(topo_->bounce_latency_us * 1000);
-  build_endpoints();
   build_tor();
   if (!error_.empty()) return;
   tor_backlog_ = &metrics_.gauge("tor.backlog");
@@ -206,25 +193,6 @@ void Testbed::trace_hop(net::Packet& pkt, net::HopPlatform platform,
   pkt.hops.push_back(hop);
 }
 
-void Testbed::build_endpoints() {
-  for (const auto& routing : artifacts_->routings) {
-    for (const auto& segment : routing.segments) {
-      Endpoint ep;
-      ep.target = segment.target;
-      if (segment.target == placer::Target::kServer) {
-        for (const auto& g : placement_->subgroups) {
-          if (g.chain == segment.chain && g.nodes == segment.nodes) {
-            ep.server = g.server;
-          }
-        }
-      }
-      for (const auto& entry : segment.entries) {
-        endpoints_[endpoint_key(entry.spi, entry.si)] = ep;
-      }
-    }
-  }
-}
-
 void Testbed::build_tor() {
   tor_ = std::make_unique<pisa::PisaSwitch>(artifacts_->p4.program,
                                             topo_->tor);
@@ -239,9 +207,14 @@ void Testbed::build_tor() {
       return;
     }
   }
+  // The metacompiler's coordination tables (steering, routing) drop
+  // unrouted traffic; every other table drop is an NF's own verdict.
   tor_drop_cause_.clear();
   for (const auto& table : tor_->program().tables) {
-    tor_drop_cause_.push_back(classify_tor_drop(table.name));
+    tor_drop_cause_.push_back(
+        artifacts_->p4.coordination_tables.count(table.name) != 0
+            ? telemetry::DropCause::kRoutingMiss
+            : telemetry::DropCause::kNfVerdict);
   }
 }
 
@@ -269,47 +242,41 @@ void Testbed::build_servers() {
     const auto& plan = artifacts_->server_plans[s];
     if (plan.segments.empty()) continue;
 
-    auto* inc = dp.add_module<bess::PortInc>("port_inc", rt.source.get());
-    auto* demux = dp.add_module<bess::NshDecap>("demux");
-    auto* out = dp.add_module<bess::PortOut>("port_out", rt.sink.get());
-    auto* loopback = dp.add_module<bess::Queue>("loopback", 8192);
+    auto* inc = dp.add_module<bess::PortInc>(rt.source.get());
+    auto* demux = dp.add_module<bess::NshDecap>();
+    auto* out = dp.add_module<bess::PortOut>(rt.sink.get());
+    auto* loopback = dp.add_module<bess::Queue>(8192);
     inc->connect(0, demux);
     dp.add_task(0, bess::Task(inc));
     dp.add_task(0, bess::Task(loopback, demux));
     rt.demux = demux;
     rt.queues.push_back(loopback);
 
-    int next_core = 1;
-    std::map<int, int> shared_core_of_group;
     int demux_gate = 0;
-    for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-      const auto& seg = plan.segments[i];
+    for (const auto& seg : plan.segments) {
       const auto& graph =
           (*chains_)[static_cast<std::size_t>(seg.chain)].graph;
-      const std::string id =
-          "c" + std::to_string(seg.chain) + "_s" + std::to_string(i);
+      const int replicas = seg.replicas();
 
       // Replica queues fed from the demux (via round-robin when k > 1).
       const std::size_t first_queue = rt.queues.size();
-      if (seg.cores > 1) {
-        auto* steer =
-            dp.add_module<bess::LoadBalanceSteer>("steer_" + id, seg.cores);
+      if (replicas > 1) {
+        auto* steer = dp.add_module<bess::LoadBalanceSteer>(replicas);
         demux->map(seg.spi_in, seg.si_in, demux_gate);
         demux->connect(demux_gate++, steer);
-        for (int r = 0; r < seg.cores; ++r) {
-          auto* q = dp.add_module<bess::Queue>(
-              "q_" + id + "_r" + std::to_string(r), 4096);
+        for (int r = 0; r < replicas; ++r) {
+          auto* q = dp.add_module<bess::Queue>(4096);
           steer->connect(r, q);
           rt.queues.push_back(q);
         }
       } else {
-        auto* q = dp.add_module<bess::Queue>("q_" + id + "_r0", 4096);
+        auto* q = dp.add_module<bess::Queue>(4096);
         demux->map(seg.spi_in, seg.si_in, demux_gate);
         demux->connect(demux_gate++, q);
         rt.queues.push_back(q);
       }
 
-      for (int r = 0; r < seg.cores; ++r) {
+      for (int r = 0; r < replicas; ++r) {
         // Per-replica NF instances: replicable stateful NFs partition
         // their state across cores.
         bess::Module* head = nullptr;
@@ -321,9 +288,9 @@ void Testbed::build_servers() {
           // never collide across cores (the paper's section 3.2
           // future-work scheme).
           nf::NfConfig node_config = node.config;
-          if (node.type == nf::NfType::kNat && seg.cores > 1) {
+          if (node.type == nf::NfType::kNat && replicas > 1) {
             const std::int64_t base = node_config.int_or("port_base", 10000);
-            const std::int64_t span = (65000 - base) / seg.cores;
+            const std::int64_t span = (65000 - base) / replicas;
             node_config.ints["port_base"] = base + r * span;
             // The partition's exclusive upper bound: import_state() keeps
             // only mappings inside [port_base, port_limit), so migrated
@@ -346,9 +313,7 @@ void Testbed::build_servers() {
               }
             }
           }
-          auto* module = dp.add_module<nf::NfModule>(
-              id + "_r" + std::to_string(r) + "_" + node.instance_name,
-              std::move(nf_impl));
+          auto* module = dp.add_module<nf::NfModule>(std::move(nf_impl));
           rt.nfs.push_back({module, seg.chain, node_id});
           if (head == nullptr) head = module;
           if (tail != nullptr) tail->connect(0, module);
@@ -365,9 +330,7 @@ void Testbed::build_servers() {
           for (const auto& rule : seg.generated_steering) {
             steer_nf->add_rule(rule);
           }
-          auto* module = dp.add_module<nf::NfModule>(
-              id + "_r" + std::to_string(r) + "_gen_steer",
-              std::move(steer_nf));
+          auto* module = dp.add_module<nf::NfModule>(std::move(steer_nf));
           rt.nfs.push_back({module, seg.chain, -1});
           if (tail != nullptr) tail->connect(0, module);
           if (head == nullptr) head = module;
@@ -377,41 +340,12 @@ void Testbed::build_servers() {
         // Exits: NSH re-encapsulation per gate; local hand-offs loop back
         // into the shared demux without touching the NIC.
         for (const auto& exit : seg.exits) {
-          auto* encap = dp.add_module<bess::NshEncap>(
-              "encap_" + id + "_r" + std::to_string(r) + "_g" +
-                  std::to_string(exit.gate),
-              exit.spi, exit.si);
+          auto* encap = dp.add_module<bess::NshEncap>(exit.spi, exit.si);
           tail->connect(exit.gate, encap);
-          const auto it =
-              endpoints_.find(endpoint_key(exit.spi, exit.si));
-          const bool local = it != endpoints_.end() &&
-                             it->second.target == placer::Target::kServer &&
-                             it->second.server == static_cast<int>(s);
-          encap->connect(0, local ? static_cast<bess::Module*>(loopback)
-                                  : static_cast<bess::Module*>(out));
+          encap->connect(0, exit.local ? static_cast<bess::Module*>(loopback)
+                                       : static_cast<bess::Module*>(out));
         }
 
-        // Schedule this replica. Shared-core groups (round-robin
-        // subgroups, appendix A.1.3) land on one physical core; dedicated
-        // replicas fill cores sequentially — socket 0 first, matching the
-        // paper's observation that same-socket placement often beats the
-        // worst-case cross-NUMA profile.
-        int core;
-        if (seg.core_group >= 0) {
-          auto it = shared_core_of_group.find(seg.core_group);
-          if (it == shared_core_of_group.end()) {
-            core = next_core < dp.num_cores() ? next_core
-                                              : dp.num_cores() - 1;
-            shared_core_of_group.emplace(seg.core_group, core);
-            ++next_core;
-          } else {
-            core = it->second;
-          }
-        } else {
-          core = next_core < dp.num_cores() ? next_core
-                                            : dp.num_cores() - 1;
-          ++next_core;
-        }
         // t_max enforcement lives in the BESS scheduler (appendix
         // A.1.3): each replica's task is rate-limited to its share of
         // the chain's burst cap.
@@ -419,12 +353,11 @@ void Testbed::build_servers() {
         const double t_max =
             (*chains_)[static_cast<std::size_t>(seg.chain)].slo.t_max_gbps;
         if (t_max < chain::Slo::kUnbounded) {
-          limit.bits_per_sec = t_max * 1e9 * seg.traffic_fraction /
-                               std::max(1, seg.cores);
+          limit.bits_per_sec = t_max * 1e9 * seg.traffic_fraction / replicas;
           limit.burst_bits = 2e6;
         }
         dp.add_task(
-            core,
+            seg.replica_cores[static_cast<std::size_t>(r)],
             bess::Task(rt.queues[first_queue + static_cast<std::size_t>(r)],
                        head),
             limit);
@@ -723,12 +656,7 @@ void Testbed::inject_server(net::Packet&& pkt, int server,
     }
     net::set_nsh(pkt, artifact.spi_out, artifact.si_out);
     ready_ns = rt.nic.engine_free_ns;
-    const auto ep =
-        endpoints_.find(endpoint_key(artifact.spi_out, artifact.si_out));
-    const bool local = ep != endpoints_.end() &&
-                       ep->second.target == placer::Target::kServer &&
-                       ep->second.server == server;
-    if (!local) {
+    if (!artifact.local_out) {
       to_switch_.emplace_back(ready_ns + bounce_ns_, std::move(pkt));
       return;
     }

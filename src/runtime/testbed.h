@@ -262,11 +262,6 @@ class Testbed {
   }
 
  private:
-  struct Endpoint {
-    placer::Target target = placer::Target::kServer;
-    int server = 0;  ///< Read only for kServer targets.
-  };
-
   class WireSource;
   class ReturnSink;
 
@@ -324,14 +319,9 @@ class Testbed {
     std::string server_fault, link_fault, wire_fault;
   };
 
-  static std::uint64_t endpoint_key(std::uint32_t spi, std::uint8_t si) {
-    return (static_cast<std::uint64_t>(spi) << 8) | si;
-  }
-
   /// Builds the whole rack from the current plan, which the caller has
   /// verified; sets error_ when a platform rejects its artifact.
   void build();
-  void build_endpoints();
   void build_tor();
   void build_servers();
   void build_nics();
@@ -395,7 +385,6 @@ class Testbed {
   /// Declared before the runtimes that hold pointers into it.
   net::PacketPool pool_;
 
-  std::map<std::uint64_t, Endpoint> endpoints_;
   std::unique_ptr<pisa::PisaSwitch> tor_;
   /// Drop cause per ToR table, indexed like the program's tables.
   std::vector<telemetry::DropCause> tor_drop_cause_;

@@ -106,8 +106,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"bess.exit-unknown-endpoint", Severity::kError,
        "every BESS exit re-encapsulates to a live (SPI, SI) endpoint"},
       {"place.failed-element", Severity::kError,
-       "no NF, subgroup, or server plan lands on an element marked "
-       "failed after a fault"},
+       "no NF, subgroup, server plan or NIC program lands on an element "
+       "marked failed after a fault"},
       {"slo.latency-budget", Severity::kWarning,
        "the placement's latency lower bound stays within d_max"},
       {"slo.tmin-capacity", Severity::kWarning,

@@ -699,15 +699,24 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
         }
       }
 
-      // (2) Core accounting.
-      if (seg.cores < 1) {
+      // (2) Core accounting: the runtime schedules each replica on its
+      // plan core as given.
+      if (seg.replicas() < 1) {
         report.add(Severity::kError, "bess.core-overallocation", locus,
-                   "plan segment is assigned " + std::to_string(seg.cores) +
-                       " cores");
+                   "plan segment is assigned " +
+                       std::to_string(seg.replicas()) + " cores");
       } else if (seg.core_group >= 0) {
         shared_groups.insert(seg.core_group);
       } else {
-        dedicated_cores += seg.cores;
+        dedicated_cores += seg.replicas();
+      }
+      for (int core : seg.replica_cores) {
+        if (core < 0 || core >= server.total_cores()) {
+          report.add(Severity::kError, "bess.core-overallocation", locus,
+                     "replica scheduled on core " + std::to_string(core) +
+                         " but the server has " +
+                         std::to_string(server.total_cores()));
+        }
       }
 
       // (3) Core sharing must match what the Placer authorized.
@@ -722,12 +731,12 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
         report.add(Severity::kError, "bess.core-group-conflict", locus,
                    "plan segment has no matching Placer subgroup");
       } else if (authorized->server != plan.server ||
-                 authorized->cores != seg.cores ||
+                 authorized->cores != seg.replicas() ||
                  authorized->shared_core != seg.core_group) {
         report.add(
             Severity::kError, "bess.core-group-conflict", locus,
             "plan assigns server " + std::to_string(plan.server) + ", " +
-                std::to_string(seg.cores) + " core(s), share group " +
+                std::to_string(seg.replicas()) + " core(s), share group " +
                 std::to_string(seg.core_group) +
                 " but the Placer authorized server " +
                 std::to_string(authorized->server) + ", " +
@@ -861,8 +870,9 @@ void check_failed_elements(const placer::PlacementResult& placement,
       }
     }
   }
-  // Server plans must also be empty on failed servers (the metacompiler
-  // lays segments out per placement, but double-check the artifact).
+  // Server plans must also be empty on failed servers, and NIC programs
+  // must not load onto failed SmartNICs (the metacompiler lays artifacts
+  // out per placement, but double-check them).
   for (std::size_t s = 0; s < artifacts.server_plans.size(); ++s) {
     if (server_failed(static_cast<int>(s)) &&
         !artifacts.server_plans[s].segments.empty()) {
@@ -871,6 +881,15 @@ void check_failed_elements(const placer::PlacementResult& placement,
                  "BESS plan deploys " +
                      std::to_string(artifacts.server_plans[s].segments.size()) +
                      " segment(s) onto a failed server");
+    }
+  }
+  for (const auto& nic : artifacts.nic_programs) {
+    if (nic_failed(nic.smartnic)) {
+      report.add(Severity::kError, "place.failed-element",
+                 "chain " + std::to_string(nic.chain) +
+                     " / nic artifact node " + std::to_string(nic.node),
+                 "NIC program loads onto failed SmartNIC " +
+                     std::to_string(nic.smartnic));
     }
   }
 }

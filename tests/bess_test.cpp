@@ -28,9 +28,9 @@ struct TestEnv {
 
 TEST(Module, ConnectAndEmitRouting) {
   TestEnv env;
-  Queue q1("q1");
-  Queue q2("q2");
-  LoadBalanceSteer steer("steer", 2);
+  Queue q1;
+  Queue q2;
+  LoadBalanceSteer steer(2);
   steer.connect(0, &q1);
   steer.connect(1, &q2);
   steer.process(env.ctx, make_batch(10));
@@ -40,7 +40,7 @@ TEST(Module, ConnectAndEmitRouting) {
 
 TEST(Module, EmitToUnconnectedGateDropsSilently) {
   TestEnv env;
-  LoadBalanceSteer steer("steer", 3);  // No gates connected.
+  LoadBalanceSteer steer(3);  // No gates connected.
   steer.process(env.ctx, make_batch(6));
   // No crash; packets gone.
   EXPECT_EQ(steer.packets_in(), 6u);
@@ -48,7 +48,7 @@ TEST(Module, EmitToUnconnectedGateDropsSilently) {
 
 TEST(Queue, FifoOrderAndTailDrop) {
   TestEnv env;
-  Queue q("q", 4);
+  Queue q(4);
   net::PacketBatch batch;
   for (int i = 0; i < 6; ++i) {
     auto pkt = net::PacketBuilder().frame_size(64).build();
@@ -67,7 +67,7 @@ TEST(Queue, FifoOrderAndTailDrop) {
 
 TEST(Queue, PullRespectsMax) {
   TestEnv env;
-  Queue q("q");
+  Queue q;
   q.process(env.ctx, make_batch(10));
   net::PacketBatch out;
   EXPECT_EQ(q.pull(out, 3), 3u);
@@ -94,7 +94,7 @@ class VectorSource : public PacketSource {
 TEST(Port, PortIncPullsAndCharges) {
   TestEnv env;
   VectorSource src(40);
-  PortInc inc("in", &src);
+  PortInc inc(&src);
   Sink sink;
   inc.connect(0, &sink);
   EXPECT_EQ(inc.run_once(env.ctx), 32u);  // One full batch.
@@ -108,7 +108,7 @@ TEST(Port, PortOutCountsAndMeasuresLatency) {
   std::uint64_t cycles = 1700;  // 1000 ns at 1.7 GHz.
   std::mt19937_64 rng(1);
   Context ctx(&cycles, 1.7, &rng);
-  PortOut out("out");
+  PortOut out;
   net::PacketBatch batch;
   auto pkt = net::PacketBuilder().frame_size(200).arrival_ns(400).build();
   batch.push(std::move(pkt));
@@ -120,7 +120,7 @@ TEST(Port, PortOutCountsAndMeasuresLatency) {
 
 TEST(Port, PortOutSkipsDroppedPackets) {
   TestEnv env;
-  PortOut out("out");
+  PortOut out;
   net::PacketBatch batch = make_batch(3);
   batch[1].drop = true;
   out.process(env.ctx, std::move(batch));
@@ -129,9 +129,9 @@ TEST(Port, PortOutSkipsDroppedPackets) {
 
 TEST(Nsh, DecapSteersBySpiSi) {
   TestEnv env;
-  NshDecap decap("demux");
-  Queue qa("qa");
-  Queue qb("qb");
+  NshDecap decap;
+  Queue qa;
+  Queue qb;
   decap.map(1, 255, 0);
   decap.map(1, 254, 1);
   decap.connect(0, &qa);
@@ -153,8 +153,8 @@ TEST(Nsh, DecapSteersBySpiSi) {
 
 TEST(Nsh, DecapDropsUnmappedAndBare) {
   TestEnv env;
-  NshDecap decap("demux");
-  Queue q("q");
+  NshDecap decap;
+  Queue q;
   decap.map(1, 255, 0);
   decap.connect(0, &q);
   net::PacketBatch batch;
@@ -169,8 +169,8 @@ TEST(Nsh, DecapDropsUnmappedAndBare) {
 
 TEST(Nsh, EncapTagsWithConfiguredPath) {
   TestEnv env;
-  NshEncap encap("encap", 7, 42);
-  Queue q("q");
+  NshEncap encap(7, 42);
+  Queue q;
   encap.connect(0, &q);
   encap.process(env.ctx, make_batch(1));
   net::PacketBatch out;
@@ -183,8 +183,8 @@ TEST(Nsh, EncapTagsWithConfiguredPath) {
 
 TEST(Nsh, EncapDecapChargesPaperOverhead) {
   TestEnv env;
-  NshEncap encap("encap", 1, 1);
-  NshDecap decap("decap");
+  NshEncap encap(1, 1);
+  NshDecap decap;
   decap.map(1, 1, 0);
   encap.connect(0, &decap);
   encap.process(env.ctx, make_batch(1));
@@ -195,8 +195,8 @@ TEST(Nsh, EncapDecapChargesPaperOverhead) {
 
 TEST(Steer, SingleReplicaIsFree) {
   TestEnv env;
-  LoadBalanceSteer steer("steer", 1);
-  Queue q("q");
+  LoadBalanceSteer steer(1);
+  Queue q;
   steer.connect(0, &q);
   steer.process(env.ctx, make_batch(5));
   EXPECT_EQ(env.cycles, 0u);
@@ -205,8 +205,8 @@ TEST(Steer, SingleReplicaIsFree) {
 
 TEST(Steer, MultiReplicaCharges180Cycles) {
   TestEnv env;
-  LoadBalanceSteer steer("steer", 2);
-  Queue qa("qa"), qb("qb");
+  LoadBalanceSteer steer(2);
+  Queue qa, qb;
   steer.connect(0, &qa);
   steer.connect(1, &qb);
   steer.process(env.ctx, make_batch(4));
@@ -215,7 +215,7 @@ TEST(Steer, MultiReplicaCharges180Cycles) {
 
 TEST(Scheduler, RoundRobinAcrossTasks) {
   TestEnv env;
-  Queue qa("qa"), qb("qb");
+  Queue qa, qb;
   Sink sink_a, sink_b;
   qa.process(env.ctx, make_batch(64));
   qb.process(env.ctx, make_batch(64));
@@ -232,7 +232,7 @@ TEST(Scheduler, RoundRobinAcrossTasks) {
 TEST(Scheduler, RateLimitThrottles) {
   std::uint64_t cycles = 0;
   std::mt19937_64 rng(7);
-  Queue q("q");
+  Queue q;
   Sink sink;
   {
     Context ctx(&cycles, 1.7, &rng);
@@ -260,7 +260,7 @@ TEST(Scheduler, RateLimitThrottles) {
 TEST(Scheduler, IdleTickAdvancesClock) {
   TestEnv env;
   CoreScheduler sched;
-  Queue q("q");
+  Queue q;
   Sink sink;
   sched.add_task(Task(&q, &sink));
   const std::uint64_t before = env.cycles;
@@ -281,8 +281,8 @@ TEST(Dataplane, NumaFactorBySocket) {
 // f / cycles_per_packet within a small tolerance.
 class FixedCostModule : public Module {
  public:
-  FixedCostModule(std::string name, std::uint64_t cycles_per_packet)
-      : Module(std::move(name)), cost_(cycles_per_packet) {}
+  explicit FixedCostModule(std::uint64_t cycles_per_packet)
+      : cost_(cycles_per_packet) {}
   void process(Context& ctx, net::PacketBatch&& batch) override {
     count_in(batch);
     ctx.charge_scaled(cost_ * batch.size());
@@ -310,9 +310,9 @@ TEST(Dataplane, ThroughputMatchesCycleModel) {
   spec.cores_per_socket = 1;
   ServerDataplane dp(spec);
   InfiniteSource src;
-  auto* inc = dp.add_module<PortInc>("in", &src);
-  auto* cost = dp.add_module<FixedCostModule>("nf", 8500);
-  auto* out = dp.add_module<PortOut>("out");
+  auto* inc = dp.add_module<PortInc>(&src);
+  auto* cost = dp.add_module<FixedCostModule>(8500);
+  auto* out = dp.add_module<PortOut>();
   inc->connect(0, cost);
   cost->connect(0, out);
   dp.add_task(0, Task(inc));
@@ -331,11 +331,11 @@ TEST(Dataplane, TwoCoresDoubleThroughput) {
   spec.cores_per_socket = 2;
   ServerDataplane dp(spec);
   InfiniteSource src_a, src_b;
-  auto* inc_a = dp.add_module<PortInc>("in_a", &src_a);
-  auto* inc_b = dp.add_module<PortInc>("in_b", &src_b);
-  auto* cost_a = dp.add_module<FixedCostModule>("nf_a", 8500);
-  auto* cost_b = dp.add_module<FixedCostModule>("nf_b", 8500);
-  auto* out = dp.add_module<PortOut>("out");
+  auto* inc_a = dp.add_module<PortInc>(&src_a);
+  auto* inc_b = dp.add_module<PortInc>(&src_b);
+  auto* cost_a = dp.add_module<FixedCostModule>(8500);
+  auto* cost_b = dp.add_module<FixedCostModule>(8500);
+  auto* out = dp.add_module<PortOut>();
   inc_a->connect(0, cost_a);
   inc_b->connect(0, cost_b);
   cost_a->connect(0, out);

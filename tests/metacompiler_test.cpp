@@ -3,6 +3,7 @@
 // generation.
 #include <gtest/gtest.h>
 
+#include "src/chain/canonical.h"
 #include "src/chain/parser.h"
 #include "src/metacompiler/metacompiler.h"
 #include "src/metacompiler/pisa_oracle.h"
@@ -114,7 +115,7 @@ struct ComposeFixture {
       routings.push_back(
           build_routing(chains[c], patterns[c], static_cast<int>(c)));
     }
-    return compose_p4(chains, routings, {}, topo, ports);
+    return compose_p4(chains, routings, ports);
   }
 };
 
@@ -306,13 +307,22 @@ TEST(Oracle, RealOracleBeatsConservativeEstimate) {
 
 // --- BESS plans ------------------------------------------------------------------
 
+/// A placement of one chain with `pattern` and `subgroups`, for routing
+/// resolution in hand-built plans.
+placer::PlacementResult hand_placement(
+    const Pattern& pattern, std::vector<placer::Subgroup> subgroups) {
+  placer::PlacementResult placement;
+  placement.chains.resize(1);
+  placement.chains[0].nodes = pattern;
+  placement.subgroups = std::move(subgroups);
+  return placement;
+}
+
 TEST(BessPlans, SegmentsLandOnAssignedServers) {
   topo::Topology topo = topo::Topology::multi_server(2, 8);
   auto spec = make_spec("Encrypt -> ACL -> Dedup");
   Pattern pattern(3);
   pattern[1].target = Target::kPisa;
-  auto routing = build_routing(spec, pattern, 0);
-  std::vector<placer::Subgroup> subgroups;
   placer::Subgroup g1;
   g1.chain = 0;
   g1.nodes = {0};
@@ -323,26 +333,31 @@ TEST(BessPlans, SegmentsLandOnAssignedServers) {
   g2.nodes = {2};
   g2.server = 1;
   g2.cores = 1;
-  subgroups = {g1, g2};
-  auto plans = build_bess_plans({spec}, {routing}, subgroups, topo);
+  const auto placement = hand_placement(pattern, {g1, g2});
+  auto routing = build_routing(spec, pattern, 0);
+  resolve_placement(routing, placement, topo);
+  auto plans = build_bess_plans({spec}, {routing}, placement.subgroups, topo);
   ASSERT_EQ(plans.size(), 2u);
   ASSERT_EQ(plans[0].segments.size(), 1u);
-  EXPECT_EQ(plans[0].segments[0].cores, 2);
+  EXPECT_EQ(plans[0].segments[0].replica_cores, (std::vector<int>{1, 2}));
   ASSERT_EQ(plans[1].segments.size(), 1u);
   EXPECT_EQ(plans[1].segments[0].nodes, std::vector<int>{2});
+  EXPECT_EQ(plans[1].segments[0].replica_cores, std::vector<int>{1});
 }
 
 TEST(BessPlans, ScriptAccountsCoordinationLines) {
   topo::Topology topo = topo::Topology::lemur_testbed();
   auto spec = make_spec("Encrypt -> Dedup");
   Pattern pattern(2);
-  auto routing = build_routing(spec, pattern, 0);
   placer::Subgroup g;
   g.chain = 0;
   g.nodes = {0, 1};
   g.server = 0;
   g.cores = 2;
-  auto plans = build_bess_plans({spec}, {routing}, {g}, topo);
+  const auto placement = hand_placement(pattern, {g});
+  auto routing = build_routing(spec, pattern, 0);
+  resolve_placement(routing, placement, topo);
+  auto plans = build_bess_plans({spec}, {routing}, placement.subgroups, topo);
   const auto script = plans[0].print_script({spec});
   EXPECT_NE(script.find("NSHdecap"), std::string::npos);
   EXPECT_NE(script.find("NSHencap"), std::string::npos);
@@ -351,6 +366,41 @@ TEST(BessPlans, ScriptAccountsCoordinationLines) {
   EXPECT_GT(loc.total, 0);
   EXPECT_GT(loc.coordination, 0);
   EXPECT_LT(loc.coordination, loc.total);
+}
+
+TEST(BessPlans, ScriptSchedulesOnTheServersCores) {
+  // Five chains on one 6-core server: more replicas than worker cores,
+  // and the placer's shared-core group.
+  topo::Topology topo = topo::Topology::multi_server(1, 6);
+  placer::PlacerOptions options;
+  CompilerOracle oracle(topo);
+  auto specs = chain::canonical_chains({1, 2, 3, 4, 5});
+  placer::apply_delta(specs, 0.2, topo.servers.front(), options);
+  auto placement = placer::place(placer::Strategy::kLemur, specs, topo,
+                                 options, oracle);
+  ASSERT_TRUE(placement.feasible) << placement.infeasible_reason;
+  auto artifacts = compile(specs, placement, topo);
+  ASSERT_TRUE(artifacts.ok) << artifacts.error;
+  ASSERT_EQ(artifacts.server_plans.size(), 1u);
+  const auto& plan = artifacts.server_plans[0];
+  std::vector<int> planned;
+  for (const auto& seg : plan.segments) {
+    planned.insert(planned.end(), seg.replica_cores.begin(),
+                   seg.replica_cores.end());
+  }
+  std::vector<int> scheduled;
+  const std::string script = plan.print_script(specs);
+  const std::string marker = "wid=";
+  for (auto at = script.find(marker); at != std::string::npos;
+       at = script.find(marker, at + 1)) {
+    scheduled.push_back(std::stoi(script.substr(at + marker.size())));
+  }
+  EXPECT_EQ(scheduled, planned);
+  EXPECT_GT(scheduled.size(), 5u);
+  for (int wid : scheduled) {
+    EXPECT_GE(wid, 1);
+    EXPECT_LT(wid, topo.servers[0].total_cores());
+  }
 }
 
 // --- Full artifact generation ------------------------------------------------------
@@ -399,6 +449,41 @@ TEST(Artifacts, SmartNicProgramEmitted) {
   ASSERT_FALSE(artifacts.nic_programs.empty());
   EXPECT_EQ(artifacts.nic_programs[0].type, nf::NfType::kFastEncrypt);
   EXPECT_TRUE(nic::verify(artifacts.nic_programs[0].program).ok);
+}
+
+TEST(Artifacts, NicProgramTargetsThePlacedSmartNic) {
+  // Two servers, each behind its own SmartNIC; NIC 0 has already failed,
+  // so the placer puts chain 5's NIC NF on NIC 1 (server 1).
+  topo::Topology topo = topo::Topology::multi_server(2, 8);
+  topo.smartnics.resize(2);
+  topo.smartnics[1].name = "agilio1";
+  topo.smartnics[1].attached_server = 1;
+  topo.smartnics[0].failed = true;
+  placer::PlacerOptions options;
+  CompilerOracle oracle(topo);
+  auto specs = chain::canonical_chains({2, 5});
+  placer::apply_delta(specs, 0.5, topo.servers.front(), options);
+  auto placement = placer::place(placer::Strategy::kLemur, specs, topo,
+                                 options, oracle);
+  ASSERT_TRUE(placement.feasible) << placement.infeasible_reason;
+  auto artifacts = compile(specs, placement, topo);
+  ASSERT_TRUE(artifacts.ok) << artifacts.error;
+  EXPECT_FALSE(artifacts.verification.has_errors())
+      << artifacts.verification.to_string();
+  ASSERT_EQ(artifacts.nic_programs.size(), 1u);
+  const auto& nic = artifacts.nic_programs[0];
+  EXPECT_EQ(nic.smartnic, 1);
+  // The ToR steers packets entering the NIC segment to server 1's port.
+  int steered = 0;
+  for (const auto& [table, entry] : artifacts.p4.entries) {
+    if (table != "lemur_steer" || entry.action != "steer_fwd") continue;
+    if (entry.key[0].value != nic.spi_in || entry.key[1].value != nic.si_in) {
+      continue;
+    }
+    ++steered;
+    EXPECT_EQ(entry.params, (std::vector<std::uint64_t>{PortMap{}.server(1)}));
+  }
+  EXPECT_EQ(steered, 1);
 }
 
 }  // namespace

@@ -528,7 +528,7 @@ TEST(NfModule, ChargesCostWithinJitterBand) {
   std::uint64_t cycles = 0;
   std::mt19937_64 rng(3);
   bess::Context ctx(&cycles, 1.7, &rng);
-  NfModule module("enc", make_software_nf(NfType::kEncrypt, NfConfig{}));
+  NfModule module(make_software_nf(NfType::kEncrypt, NfConfig{}));
   bess::Sink sink;
   module.connect(0, &sink);
   net::PacketBatch batch;
@@ -550,7 +550,7 @@ TEST(NfModule, RoutesDropsAndGates) {
   NfConfig config;
   config.rules.push_back({{"field", "dst_port"}, {"value", "80"},
                           {"gate", "1"}});
-  NfModule module("match", make_software_nf(NfType::kMatch, config));
+  NfModule module(make_software_nf(NfType::kMatch, config));
   bess::Sink default_sink, http_sink;
   module.connect(0, &default_sink);
   module.connect(1, &http_sink);

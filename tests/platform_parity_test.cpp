@@ -37,8 +37,8 @@ class SingleNfSwitch {
     routings_.push_back(
         metacompiler::build_routing(chains_[0], pattern, 0));
     topo::Topology topo = topo::Topology::lemur_testbed();
-    auto artifact = metacompiler::compose_p4(chains_, routings_, {}, topo,
-                                             metacompiler::PortMap{});
+    auto artifact =
+        metacompiler::compose_p4(chains_, routings_, metacompiler::PortMap{});
     EXPECT_TRUE(artifact.ok()) << artifact.error;
     sw_ = std::make_unique<pisa::PisaSwitch>(artifact.program, topo.tor);
     EXPECT_TRUE(sw_->load().ok);

@@ -33,9 +33,11 @@ struct Scenario {
   metacompiler::CompiledArtifacts artifacts;
 };
 
-Scenario canonical_scenario(const std::vector<int>& numbers, double delta) {
+Scenario canonical_scenario(
+    const std::vector<int>& numbers, double delta,
+    topo::Topology topo = topo::Topology::multi_server(2, 8)) {
   Scenario s;
-  s.topo = topo::Topology::multi_server(2, 8);
+  s.topo = std::move(topo);
   s.chains = chain::canonical_chains(numbers);
   placer::apply_delta(s.chains, delta, s.topo.servers.front(), s.options);
   metacompiler::CompilerOracle oracle(s.topo);
@@ -191,6 +193,34 @@ TEST(Recovery, ServerDeathIsDetectedAndRecovered) {
     EXPECT_NE(sg.server, victim);
   }
   EXPECT_GT(run.measurement.delivered_packets, 0u);
+}
+
+TEST(Recovery, SecondSmartNicTakesOverAfterNicFailure) {
+  // Each server sits behind its own SmartNIC; chain 5's NIC NF starts on
+  // NIC 0 and must move to NIC 1 when NIC 0 dies.
+  auto topo = topo::Topology::multi_server(2, 8);
+  topo.smartnics.resize(2);
+  topo.smartnics[1].name = "agilio1";
+  topo.smartnics[1].attached_server = 1;
+  auto s = canonical_scenario({2, 5}, 0.5, std::move(topo));
+  ASSERT_EQ(s.artifacts.nic_programs.size(), 1u);
+  ASSERT_EQ(s.artifacts.nic_programs[0].smartnic, 0);
+  const auto run = run_chaos(s, "nic:0@1", 10.0, 3);
+
+  ASSERT_EQ(run.events.size(), 1u);
+  const auto& ev = run.events.front();
+  EXPECT_TRUE(ev.recovered) << ev.action;
+  EXPECT_EQ(ev.action.rfind("replaced", 0), 0u) << ev.action;
+  // Only the detection window loses packets to the dead NIC: the
+  // recompiled program runs on NIC 1.
+  expect_conserved(run.measurement);
+  std::uint64_t fault_drops = 0;
+  for (std::size_t c = 0; c < run.measurement.chain_offered.size(); ++c) {
+    fault_drops += run.measurement.drops.cause_total(
+        static_cast<int>(c), telemetry::DropCause::kFault);
+  }
+  EXPECT_GT(fault_drops, 0u);
+  EXPECT_EQ(fault_drops, ev.fault_window_drops);
 }
 
 TEST(Recovery, WireCorruptionRidesThroughWithoutReplacement) {

@@ -333,8 +333,18 @@ TEST(VerifierBess, CoreClaimBeyondServerBudget) {
   auto d = compile_canonical({2});
   auto& plan = d.artifacts.server_plans[0];
   ASSERT_FALSE(plan.segments.empty());
-  plan.segments[0].cores = 1000;
+  plan.segments[0].replica_cores.assign(1000, 1);
   plan.segments[0].core_group = -1;
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
+}
+
+TEST(VerifierBess, ReplicaScheduledPastTheLastCore) {
+  auto d = compile_canonical({2});
+  auto& plan = d.artifacts.server_plans[0];
+  ASSERT_FALSE(plan.segments.empty());
+  ASSERT_FALSE(plan.segments[0].replica_cores.empty());
+  plan.segments[0].replica_cores[0] = d.topo.servers[0].total_cores();
   const auto report = d.verify();
   EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
 }
@@ -408,6 +418,31 @@ TEST(VerifierFailedElement, PlanOntoFailedSmartNicIsRejected) {
   const auto* finding = report.find("place.failed-element");
   ASSERT_NE(finding, nullptr) << report.to_string();
   EXPECT_EQ(finding->severity, Severity::kError);
+}
+
+TEST(VerifierFailedElement, NicProgramOntoFailedSmartNicIsRejected) {
+  // The placement moves the NIC NF to a healthy second SmartNIC, but the
+  // stale program still loads onto the failed first one.
+  auto d = compile_canonical({5}, Extras::kSmartNic, 4.0);
+  ASSERT_EQ(d.artifacts.nic_programs.size(), 1u);
+  ASSERT_EQ(d.artifacts.nic_programs[0].smartnic, 0);
+  d.topo.smartnics.push_back(topo::SmartNicSpec{});
+  d.topo.smartnics[0].failed = true;
+  for (auto& a : d.placement.nic_nfs) a.smartnic = 1;
+  for (auto& chain : d.placement.chains) {
+    for (auto& np : chain.nodes) {
+      if (np.target == placer::Target::kSmartNic) np.smartnic = 1;
+    }
+  }
+  const auto report = d.verify();
+  int fired = 0;
+  for (const auto& finding : report.diagnostics) {
+    if (finding.rule != "place.failed-element") continue;
+    ++fired;
+    EXPECT_NE(finding.locus.find("nic artifact"), std::string::npos)
+        << finding.locus;
+  }
+  EXPECT_EQ(fired, 1) << report.to_string();
 }
 
 TEST(VerifierFailedElement, CleanPlanOnHealthyRackDoesNotFire) {
