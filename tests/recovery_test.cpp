@@ -281,6 +281,41 @@ TEST(Recovery, SameSeedChaosRunsAreBitIdentical) {
   EXPECT_EQ(a.stats_json, b.stats_json);
 }
 
+TEST(Recovery, SameQuantumDetectionsKeepTheirOrder) {
+  // Elements first detected in the same quantum are queued, executed and
+  // reported in one fixed order (element kind, then index); a re-keyed
+  // controller must keep it, or event logs stop matching across commits.
+  struct Expected {
+    std::string element;
+    std::string action;
+    std::uint64_t detected_ns;
+  };
+  auto expect_events = [](const ChaosRun& run,
+                          const std::vector<Expected>& want) {
+    ASSERT_EQ(run.events.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(run.events[i].element, want[i].element) << i;
+      EXPECT_EQ(run.events[i].action, want[i].action) << i;
+      EXPECT_EQ(run.events[i].detected_ns, want[i].detected_ns) << i;
+    }
+    expect_conserved(run.measurement);
+  };
+
+  const auto two_servers = canonical_scenario(
+      {3, 4, 5}, 1.0, topo::Topology::multi_server(4, 8));
+  expect_events(run_chaos(two_servers, "server:3@1;server:2@1", 4.0, 11),
+                {{"server2", "replaced", 1'000'000},
+                 {"server3", "replaced", 1'000'000}});
+
+  const auto mixed =
+      canonical_scenario({3, 5}, 1.0, topo::Topology::multi_server(3, 8));
+  expect_events(
+      run_chaos(mixed, "server:1@2;link:2@2;corrupt:0@2+1", 5.0, 9),
+      {{"wire0", "impairment-ride-through", 2'000'000},
+       {"server1", "replaced", 2'000'000},
+       {"link2", "replaced", 2'100'000}});
+}
+
 TEST(Recovery, DifferentSeedsDivergeUnderImpairments) {
   auto s = canonical_scenario({3}, 1.0);
   const auto used = used_servers(s.placement);
