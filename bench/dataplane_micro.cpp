@@ -1,8 +1,8 @@
 // Dataplane microbench: drives the fig2 comparison workload (chains
 // {1,2,3,4} at delta 0.9) through the full rack on the one packet path
-// there is — pooled packets, parse-once metadata, fast AES — plus a
-// FlatFlowTable-vs-unordered_map churn microbench. Each fast layer is
-// checked against its oracle in tests/fastpath_test.cpp, not here.
+// there is — pooled packets, parse-once metadata, fast AES. Each fast
+// layer (and the flat flow table) is checked against its oracle in
+// tests/fastpath_test.cpp, not here.
 //
 // Emits BENCH_dataplane.json. With --baseline <path>, compares this
 // run's pooled pps against the committed baseline's and exits 1 when it
@@ -15,10 +15,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "bench/common.h"
-#include "src/net/flat_table.h"
 #include "src/telemetry/json.h"
 
 namespace {
@@ -72,34 +70,6 @@ RunResult run_reps(const std::vector<chain::ChainSpec>& chains,
                       (out.best_wall_ms * 1e-3)
                 : 0;
   return out;
-}
-
-/// FlatFlowTable vs std::unordered_map under flow-table churn: insert a
-/// working set, then mixed find/insert/erase rounds.
-template <typename Table>
-double churn_mops(std::size_t flows, int rounds) {
-  Table table;
-  std::uint64_t checksum = 0;
-  std::uint64_t ops = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i < flows; ++i) {
-      const std::uint64_t key =
-          (i * 0x9e3779b97f4a7c15ull) ^ static_cast<std::uint64_t>(round);
-      auto it = table.find(key);
-      if (it == table.end()) {
-        table.emplace(key, static_cast<std::uint32_t>(i));
-      } else {
-        checksum += it->second;
-        if ((i & 7) == 0) table.erase(key);
-      }
-      ops += 2;
-    }
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
-  if (checksum == 0xdeadbeef) std::printf("(unreachable)\n");
-  return seconds > 0 ? static_cast<double>(ops) / seconds / 1e6 : 0;
 }
 
 double read_baseline_pps(const char* path) {
@@ -156,14 +126,6 @@ int main(int argc, char** argv) {
               ", parse hits %" PRIu64 ")\n",
               run.best_wall_ms, pooled_pps, run.pool.reused, run.cache.hits);
 
-  bench::print_header("FlatFlowTable vs std::unordered_map (churn)");
-  const double flat_mops =
-      churn_mops<net::FlatFlowTable<std::uint64_t, std::uint32_t>>(20000, 50);
-  const double std_mops =
-      churn_mops<std::unordered_map<std::uint64_t, std::uint32_t>>(20000, 50);
-  std::printf("flat %.1f Mops, std %.1f Mops, ratio %.2fx\n", flat_mops,
-              std_mops, std_mops > 0 ? flat_mops / std_mops : 0);
-
   double baseline_pps = -1;
   if (baseline_path != nullptr) {
     baseline_pps = read_baseline_pps(baseline_path);
@@ -197,9 +159,6 @@ int main(int argc, char** argv) {
   w.kv("parse_hits", run.cache.hits);
   w.kv("parse_misses", run.cache.misses);
   w.kv("pooled_pps", pooled_pps);
-  w.kv("flat_table_mops", flat_mops);
-  w.kv("std_table_mops", std_mops);
-  w.kv("flat_vs_std", std_mops > 0 ? flat_mops / std_mops : 0);
   if (baseline_pps > 0) w.kv("baseline_pps", baseline_pps);
   w.kv("pass", ok);
   w.end_object();

@@ -39,7 +39,7 @@ Run run_with_error(double error_fraction, const topo::Topology& topo,
   if (!artifacts.ok) return out;
   runtime::Testbed testbed(chains, placement, artifacts, topo);
   if (!testbed.ok()) return out;
-  const auto m = testbed.run(5.0, 1.05, offered);
+  const auto m = testbed.run(5.0, offered);
   out.marginal = m.aggregate_gbps - placement.aggregate_t_min_gbps;
   if (capture_profiles) {
     out.measured = testbed.measured_nf_profiles();

@@ -64,7 +64,7 @@ run_config sanitize "$ci_root/build-sanitize" \
 echo "==== [normal] telemetry smoke ===="
 (cd "$ci_root/build" && ./bench/telemetry_smoke)
 
-# Dataplane micro: pps of the one packet path, flat vs std flow tables.
+# Dataplane micro: pps of the one packet path on the fig2 workload.
 # Fails on conservation/continuity breakage, or when pooled pps regresses
 # >10% below the committed BENCH_dataplane.json baseline.
 echo "==== [normal] dataplane micro ===="

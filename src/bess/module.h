@@ -90,14 +90,11 @@ class Module {
   /// ascending order starting from 0.
   void connect(int ogate, Module* next);
 
-  [[nodiscard]] std::size_t num_ogates() const { return ogates_.size(); }
-
   [[nodiscard]] std::uint64_t packets_in() const { return packets_in_; }
 
   /// Packets this module discarded (unconnected gates, tail drops, NF
-  /// verdicts, ...), total and broken down by the packets' aggregate_id —
-  /// the runtime's drop ledger sweeps these per chain.
-  [[nodiscard]] std::uint64_t drops_total() const { return drops_total_; }
+  /// verdicts, ...) by the packets' aggregate_id — the runtime's drop
+  /// ledger sweeps these per chain.
   [[nodiscard]] const std::map<std::uint32_t, std::uint64_t>&
   drops_by_aggregate() const {
     return drops_by_aggregate_;
@@ -113,7 +110,6 @@ class Module {
   }
 
   void count_drop(const net::Packet& pkt) {
-    ++drops_total_;
     ++drops_by_aggregate_[pkt.aggregate_id];
   }
 
@@ -124,7 +120,6 @@ class Module {
  private:
   std::vector<Module*> ogates_;
   std::uint64_t packets_in_ = 0;
-  std::uint64_t drops_total_ = 0;
   std::map<std::uint32_t, std::uint64_t> drops_by_aggregate_;
 };
 

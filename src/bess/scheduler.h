@@ -56,8 +56,6 @@ class CoreScheduler {
   /// Always advances the virtual clock, even when idle.
   std::size_t tick(Context& ctx);
 
-  [[nodiscard]] std::size_t num_tasks() const { return tasks_.size(); }
-
  private:
   struct TaskState {
     Task task;

@@ -50,7 +50,6 @@ void NfModule::process(bess::Context& ctx, net::PacketBatch&& batch) {
     cycles_charged_ += charged;
     const int gate = nf_->process(pkt);
     if (gate == SoftwareNf::kDrop || pkt.drop) {
-      ++drops_;
       count_drop(pkt);
       ctx.recycle(std::move(pkt));
       continue;

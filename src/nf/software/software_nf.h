@@ -153,7 +153,6 @@ class NfModule : public bess::Module {
 
   [[nodiscard]] SoftwareNf& nf() { return *nf_; }
   [[nodiscard]] const SoftwareNf& nf() const { return *nf_; }
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
 
   /// Total cycles actually charged (jitter sampled, NUMA factor applied);
   /// divided by packets_in() this is the measured cycles/packet profile.
@@ -163,7 +162,6 @@ class NfModule : public bess::Module {
 
  private:
   std::unique_ptr<SoftwareNf> nf_;
-  std::uint64_t drops_ = 0;
   std::uint64_t cycles_charged_ = 0;
 };
 

@@ -21,19 +21,14 @@ class CorePool {
   /// Cores available on `s` for subgroup use right now.
   [[nodiscard]] int available(int s) const {
     const auto i = static_cast<std::size_t>(s);
-    const int reserve = options_.reserve_demux_core &&
-                                !options_.metron_core_steering &&
-                                !active_[i]
-                            ? 1
-                            : 0;
+    const int reserve = !options_.metron_core_steering && !active_[i] ? 1 : 0;
     return free_[i] - reserve;
   }
 
   bool take(int s, int n = 1) {
     const auto i = static_cast<std::size_t>(s);
     if (available(s) < n) return false;
-    if (options_.reserve_demux_core && !options_.metron_core_steering &&
-        !active_[i]) {
+    if (!options_.metron_core_steering && !active_[i]) {
       free_[i] -= 1;  // Demux core.
       active_[i] = true;
     }
@@ -134,8 +129,7 @@ AllocOutcome allocate_cores(Deployment& deployment,
   const double f = topo.servers.front().clock_ghz * 1e9;
   auto utilization_at_tmin = [&](const Subgroup& g) {
     const double pps =
-        gbps_to_pps(chains[static_cast<std::size_t>(g.chain)].slo.t_min_gbps,
-                    belief) *
+        gbps_to_pps(chains[static_cast<std::size_t>(g.chain)].slo.t_min_gbps) *
         g.traffic_fraction;
     return pps * static_cast<double>(g.cycles) / f;
   };
@@ -216,7 +210,7 @@ AllocOutcome allocate_cores(Deployment& deployment,
 
   const auto ceilings = chain_ceilings(deployment, chains, topo, belief);
   auto capacity = [&](int chain) {
-    return chain_capacity_gbps(deployment, chain, chains, topo, belief);
+    return chain_capacity_gbps(deployment, chain, topo);
   };
   auto add_core = [&](int subgroup_index) {
     auto& g = deployment.subgroups[static_cast<std::size_t>(subgroup_index)];

@@ -28,9 +28,7 @@ Deployment make_deployment(const std::vector<chain::ChainSpec>& chains,
 }
 
 double chain_capacity_gbps(const Deployment& deployment, int chain_index,
-                           const std::vector<chain::ChainSpec>& /*chains*/,
-                           const topo::Topology& topo,
-                           const PlacerOptions& options) {
+                           const topo::Topology& topo) {
   double capacity = topo.tor.port_gbps;  // Switch line rate ceiling.
   for (const auto& g : deployment.subgroups) {
     if (g.chain != chain_index || g.traffic_fraction <= 0) continue;
@@ -39,7 +37,7 @@ double chain_capacity_gbps(const Deployment& deployment, int chain_index,
     const double pps = static_cast<double>(g.cores) * server.clock_ghz *
                        1e9 / static_cast<double>(g.cycles);
     capacity =
-        std::min(capacity, pps_to_gbps(pps, options) / g.traffic_fraction);
+        std::min(capacity, pps_to_gbps(pps) / g.traffic_fraction);
   }
   for (const auto& a : deployment.nic_nfs) {
     if (a.chain != chain_index || a.traffic_fraction <= 0) continue;
@@ -50,7 +48,7 @@ double chain_capacity_gbps(const Deployment& deployment, int chain_index,
     const double pps = server.clock_ghz * nic.speedup_vs_core * 1e9 /
                        static_cast<double>(a.cycles);
     const double engine =
-        pps_to_gbps(pps, options) / a.traffic_fraction;
+        pps_to_gbps(pps) / a.traffic_fraction;
     capacity = std::min(capacity,
                         std::min(engine, nic.capacity_gbps /
                                              a.traffic_fraction));
@@ -75,7 +73,7 @@ std::vector<int> cores_used_per_server(const Deployment& deployment,
     }
     active[static_cast<std::size_t>(g.server)] = true;
   }
-  if (options.reserve_demux_core && !options.metron_core_steering) {
+  if (!options.metron_core_steering) {
     for (std::size_t s = 0; s < used.size(); ++s) {
       if (active[s]) ++used[s];
     }
@@ -133,8 +131,8 @@ PlacementResult evaluate(const Deployment& deployment,
     placement.nodes = deployment.patterns[c];
     placement.bounces = analyses[c].worst_bounces;
     placement.latency_us = analyses[c].worst_latency_us;
-    placement.capacity_gbps = chain_capacity_gbps(
-        deployment, static_cast<int>(c), chains, topo, options);
+    placement.capacity_gbps =
+        chain_capacity_gbps(deployment, static_cast<int>(c), topo);
 
     if (placement.capacity_gbps < spec.slo.t_min_gbps - 1e-9) {
       out.infeasible_reason =
@@ -170,9 +168,7 @@ PlacementResult evaluate(const Deployment& deployment,
               : 1.0;
       const double floor =
           slo.t_min_gbps + (c < extra_floor.size() ? extra_floor[c] : 0.0);
-      rate_var[c] =
-          lp.add_variable(objective, std::min(floor, upper), upper,
-                          "rate_" + std::to_string(c));
+      rate_var[c] = lp.add_variable(objective, std::min(floor, upper), upper);
     }
   };
   // Shared rows: links, shared cores, OpenFlow capacity.
@@ -203,7 +199,7 @@ PlacementResult evaluate(const Deployment& deployment,
     for (const auto& g : deployment.subgroups) {
       if (g.shared_core < 0) continue;
       const auto& server = topo.servers[static_cast<std::size_t>(g.server)];
-      const double pps_per_gbps = gbps_to_pps(1.0, options);
+      const double pps_per_gbps = gbps_to_pps(1.0);
       shared_rows[g.shared_core].push_back(
           {rate_var[static_cast<std::size_t>(g.chain)],
            pps_per_gbps * g.traffic_fraction *

@@ -33,9 +33,7 @@ Deployment make_deployment(const std::vector<chain::ChainSpec>& chains,
 /// over its subgroups and NIC NFs of per-entity rate / traffic fraction.
 /// Chains with no server/NIC processing are switch-line-rate bound.
 double chain_capacity_gbps(const Deployment& deployment, int chain_index,
-                           const std::vector<chain::ChainSpec>& chains,
-                           const topo::Topology& topo,
-                           const PlacerOptions& options);
+                           const topo::Topology& topo);
 
 /// Full evaluation: feasibility checks (core budget, t_min vs capacity,
 /// OpenFlow ordering, latency SLOs), then the rate LP. Fills a

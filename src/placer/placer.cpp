@@ -9,6 +9,11 @@
 namespace lemur::placer {
 namespace {
 
+/// Beam width per chain for the brute-force (Optimal) strategy; the joint
+/// pattern space is the cross product of each chain's top-K patterns by
+/// standalone marginal throughput.
+constexpr std::size_t kOptimalBeamWidth = 8;
+
 std::vector<std::vector<int>> pisa_nodes_of(
     const std::vector<Pattern>& patterns) {
   std::vector<std::vector<int>> out(patterns.size());
@@ -211,7 +216,7 @@ bool should_coalesce(const CoalesceCandidate& cand, CoalesceRule rule,
       const int k_max = replicable ? server.total_cores() : 1;
       const double max_rate = static_cast<double>(k_max) * f / coalesced;
       const double needed_pps =
-          gbps_to_pps(spec.slo.t_min_gbps, belief) * a.traffic_fraction;
+          gbps_to_pps(spec.slo.t_min_gbps) * a.traffic_fraction;
       return max_rate >= needed_pps;
     }
   }
@@ -369,9 +374,8 @@ PlacementResult run_optimal(const std::vector<chain::ChainSpec>& chains,
               [](const Scored& x, const Scored& y) {
                 return x.score > y.score;
               });
-    if (beams[c].size() >
-        static_cast<std::size_t>(belief.optimal_beam_width)) {
-      beams[c].resize(static_cast<std::size_t>(belief.optimal_beam_width));
+    if (beams[c].size() > kOptimalBeamWidth) {
+      beams[c].resize(kOptimalBeamWidth);
     }
   }
 

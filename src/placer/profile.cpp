@@ -5,11 +5,19 @@
 #include "src/nf/software/software_nf.h"
 
 namespace lemur::placer {
+namespace {
+
+/// Wire frame size used to convert pps to Gbps.
+constexpr double kPacketBytes = 1500;
+/// Figure 2f "No Profiling": the cycles/packet assumed for every NF.
+constexpr std::uint64_t kUniformCostCycles = 20000;
+
+}  // namespace
 
 std::uint64_t profiled_cycles(const chain::NfNode& node,
                               const topo::ServerSpec& server,
                               const PlacerOptions& options) {
-  if (options.no_profiling) return options.uniform_cost_cycles;
+  if (options.no_profiling) return kUniformCostCycles;
   double cycles = static_cast<double>(
       nf::worst_case_cycles(node.type, node.config));
   if (options.numa_worst_case) cycles *= server.cross_numa_factor;
@@ -17,13 +25,9 @@ std::uint64_t profiled_cycles(const chain::NfNode& node,
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(cycles));
 }
 
-double pps_to_gbps(double pps, const PlacerOptions& options) {
-  return pps * options.packet_bytes * 8.0 / 1e9;
-}
+double pps_to_gbps(double pps) { return pps * kPacketBytes * 8.0 / 1e9; }
 
-double gbps_to_pps(double gbps, const PlacerOptions& options) {
-  return gbps * 1e9 / (options.packet_bytes * 8.0);
-}
+double gbps_to_pps(double gbps) { return gbps * 1e9 / (kPacketBytes * 8.0); }
 
 double chain_base_rate_gbps(const chain::NfGraph& graph,
                             const topo::ServerSpec& server,
@@ -40,7 +44,7 @@ double chain_base_rate_gbps(const chain::NfGraph& graph,
                        profiled_cycles(node, server, profile_options));
   }
   const double pps = server.clock_ghz * 1e9 / static_cast<double>(slowest);
-  return pps_to_gbps(pps, options);
+  return pps_to_gbps(pps);
 }
 
 void apply_delta(std::vector<chain::ChainSpec>& chains, double delta,

@@ -19,9 +19,9 @@ std::uint64_t profiled_cycles(const chain::NfNode& node,
                               const topo::ServerSpec& server,
                               const PlacerOptions& options);
 
-/// Packets/s -> Gbps for the configured frame size.
-double pps_to_gbps(double pps, const PlacerOptions& options);
-double gbps_to_pps(double gbps, const PlacerOptions& options);
+/// Packets/s -> Gbps at 1500-byte frames.
+double pps_to_gbps(double pps);
+double gbps_to_pps(double gbps);
 
 /// The chain's base rate (section 5.1): the rate with one core on the
 /// slowest software NF. t_min = delta x base rate in the experiments.

@@ -102,9 +102,6 @@ struct PlacementResult {
 };
 
 struct PlacerOptions {
-  /// Wire frame size used to convert pps to Gbps.
-  double packet_bytes = 1500;
-
   /// Paper Table 3 footnote: IPv4Fwd artificially limited to P4-only for
   /// the evaluation. On by default to mirror the paper's setup.
   bool restrict_ipv4fwd_to_p4 = true;
@@ -123,20 +120,10 @@ struct PlacerOptions {
   double profile_scale = 1.0;
 
   /// Figure 2f "No Profiling": when set, profiled_cycles() returns
-  /// uniform_cost_cycles for every NF. Strategies set this in their
+  /// one uniform cost for every NF. Strategies set this in their
   /// *belief* options during decision-making; the final evaluation always
   /// re-scores placements with true profiles.
   bool no_profiling = false;
-  std::uint64_t uniform_cost_cycles = 20000;
-
-  /// Beam width per chain for the brute-force (Optimal) strategy; the
-  /// joint pattern space is the cross product of each chain's top-K
-  /// patterns by standalone marginal throughput.
-  int optimal_beam_width = 8;
-
-  /// One core per active server is dedicated to the NSH demultiplexer
-  /// (paper appendix A.1.2).
-  bool reserve_demux_core = true;
 
   // --- Extensions the paper defers to future work ---------------------------
 
@@ -150,8 +137,9 @@ struct PlacerOptions {
   /// Section 3.2 / 4.2 future work (Metron-style): the PISA switch tags
   /// packets with the target core so replica queues are fed directly —
   /// no shared demultiplexer core and no per-packet steering cost.
-  /// Modelled at placement level: the demux core reservation and the
-  /// steering overhead disappear.
+  /// Modelled at placement level: the demux core reservation (one core
+  /// per active server otherwise, paper appendix A.1.2) and the steering
+  /// overhead disappear.
   bool metron_core_steering = false;
 
   /// Footnote 2 future work: the rate-allocation objective. kMaxMarginal

@@ -33,19 +33,26 @@ std::uint64_t onset_ns(const FaultEvent& e) {
   return static_cast<std::uint64_t>(e.at_ms * kNsPerMs);
 }
 
+/// The element a fault event takes down; none for wire impairments,
+/// which degrade a wire per packet instead.
+std::optional<Element> downed(const FaultEvent& e) {
+  using Kind = Element::Kind;
+  switch (e.kind) {
+    case FaultKind::kServerDeath: return Element{Kind::kServer, e.element};
+    case FaultKind::kSmartNicDeath: return Element{Kind::kSmartNic, e.element};
+    case FaultKind::kOpenFlowDown: return Element{Kind::kOpenFlow, 0};
+    case FaultKind::kTorLinkDown: return Element{Kind::kLink, e.element};
+    default: return std::nullopt;
+  }
+}
+
 }  // namespace
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kServerDeath: return "server-death";
-    case FaultKind::kSmartNicDeath: return "smartnic-death";
-    case FaultKind::kOpenFlowDown: return "openflow-down";
-    case FaultKind::kTorLinkDown: return "tor-link-down";
-    case FaultKind::kLinkCorrupt: return "link-corrupt";
-    case FaultKind::kLinkDuplicate: return "link-duplicate";
-    case FaultKind::kLinkReorder: return "link-reorder";
-  }
-  return "?";
+std::string Element::name() const {
+  static constexpr const char* kNames[] = {"link", "openflow", "server",
+                                           "smartnic", "wire"};
+  const std::string base = kNames[static_cast<std::size_t>(kind)];
+  return kind == Kind::kOpenFlow ? base : base + std::to_string(index);
 }
 
 FaultScheduler::FaultScheduler(std::vector<FaultEvent> events,
@@ -59,40 +66,13 @@ bool FaultScheduler::active(const FaultEvent& e, std::uint64_t now_ns) const {
   return now_ns < at + static_cast<std::uint64_t>(e.duration_ms * kNsPerMs);
 }
 
-bool FaultScheduler::server_dead(int server, std::uint64_t now_ns) const {
+bool FaultScheduler::down(Element element, std::uint64_t now_ns) const {
   for (const auto& e : events_) {
+    if (downed(e) != element) continue;
     // Death is permanent: once the onset passed, the element stays dead.
-    if (e.kind == FaultKind::kServerDeath && e.element == server &&
-        now_ns >= onset_ns(e)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultScheduler::nic_dead(int nic, std::uint64_t now_ns) const {
-  for (const auto& e : events_) {
-    if (e.kind == FaultKind::kSmartNicDeath && e.element == nic &&
-        now_ns >= onset_ns(e)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultScheduler::openflow_down(std::uint64_t now_ns) const {
-  for (const auto& e : events_) {
-    if (e.kind == FaultKind::kOpenFlowDown && active(e, now_ns)) return true;
-  }
-  return false;
-}
-
-bool FaultScheduler::tor_link_down(int server, std::uint64_t now_ns) const {
-  for (const auto& e : events_) {
-    if (e.kind == FaultKind::kTorLinkDown && e.element == server &&
-        active(e, now_ns)) {
-      return true;
-    }
+    const bool death = e.kind == FaultKind::kServerDeath ||
+                       e.kind == FaultKind::kSmartNicDeath;
+    if (death ? now_ns >= onset_ns(e) : active(e, now_ns)) return true;
   }
   return false;
 }

@@ -15,6 +15,8 @@
 //   reorder:<i>@<at>+<dur>[@<rate>]  per-packet reordering (extra wire delay)
 // Times are virtual milliseconds (an "ms" suffix is allowed); events are
 // separated by ';'. Anything else after a number rejects the spec.
+// Each event hits one Element: server<i>, smartnic<i>, openflow, link<i>,
+// or, for the three impairments, wire<i>.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,27 @@
 #include <vector>
 
 namespace lemur::runtime {
+
+/// One rack element that can fail: what a fault hits, what the Testbed
+/// counts fault drops against, and what the recovery controller re-places
+/// around. Kinds are declared in name order, so Elements sort like their
+/// names except where two same-kind indices differ in digit count
+/// (server2 < server10 here; "server10" < "server2" as strings).
+struct Element {
+  enum class Kind : std::uint8_t {
+    kLink,      ///< The ToR->server `index` link.
+    kOpenFlow,  ///< The OpenFlow switch (index 0).
+    kServer,
+    kSmartNic,
+    kWire,      ///< Server `index`'s wire, under per-packet impairments.
+  };
+  Kind kind = Kind::kServer;
+  int index = 0;
+
+  /// "link0", "openflow", "server1", "smartnic0", "wire0".
+  [[nodiscard]] std::string name() const;
+  auto operator<=>(const Element&) const = default;
+};
 
 enum class FaultKind : std::uint8_t {
   kServerDeath,
@@ -33,8 +56,6 @@ enum class FaultKind : std::uint8_t {
   kLinkDuplicate,
   kLinkReorder,
 };
-
-[[nodiscard]] const char* to_string(FaultKind kind);
 
 struct FaultEvent {
   FaultKind kind = FaultKind::kServerDeath;
@@ -48,12 +69,11 @@ class FaultScheduler {
  public:
   FaultScheduler(std::vector<FaultEvent> events, std::uint64_t seed);
 
-  /// Death kinds are permanent regardless of duration.
-  [[nodiscard]] bool server_dead(int server, std::uint64_t now_ns) const;
-  [[nodiscard]] bool nic_dead(int nic, std::uint64_t now_ns) const;
-  /// Link kinds honor duration (flap); 0 means down for good.
-  [[nodiscard]] bool openflow_down(std::uint64_t now_ns) const;
-  [[nodiscard]] bool tor_link_down(int server, std::uint64_t now_ns) const;
+  /// Whether `element` is down at `now_ns`. Deaths (server, SmartNIC)
+  /// are permanent regardless of duration; link kinds (ToR link,
+  /// OpenFlow) honor it (flap), 0 meaning down for good. A wire is never
+  /// down: wire_impairment() judges it per packet.
+  [[nodiscard]] bool down(Element element, std::uint64_t now_ns) const;
 
   enum class Impairment : std::uint8_t {
     kNone,
@@ -67,11 +87,6 @@ class FaultScheduler {
   /// event, so the call sequence must itself be deterministic (it is: the
   /// simulator is single-threaded and packet order is seeded).
   [[nodiscard]] Impairment wire_impairment(int server, std::uint64_t now_ns);
-
-  [[nodiscard]] const std::vector<FaultEvent>& events() const {
-    return events_;
-  }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Parses the chaos spec grammar above; on failure returns nullopt and
   /// sets *error.

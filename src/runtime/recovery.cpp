@@ -1,40 +1,19 @@
 #include "src/runtime/recovery.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace lemur::runtime {
-namespace {
-
-/// "fault.<element>.drops" -> "<element>"; empty when the name is not a
-/// fault counter.
-std::string fault_element_of(const std::string& counter_name) {
-  constexpr const char* kPrefix = "fault.";
-  constexpr const char* kSuffix = ".drops";
-  if (counter_name.rfind(kPrefix, 0) != 0) return {};
-  const std::size_t prefix_len = 6, suffix_len = 6;
-  if (counter_name.size() <= prefix_len + suffix_len) return {};
-  if (counter_name.compare(counter_name.size() - suffix_len, suffix_len,
-                           kSuffix) != 0) {
-    return {};
-  }
-  return counter_name.substr(
-      prefix_len, counter_name.size() - prefix_len - suffix_len);
-}
-
-}  // namespace
 
 RecoveryController::RecoveryController(
     std::vector<chain::ChainSpec> chains,
     const placer::PlacementResult& initial_placement,
     const topo::Topology& topo, placer::PlacerOptions placer_options,
-    placer::SwitchOracle& oracle, Options options)
+    placer::SwitchOracle& oracle)
     : initial_chains_(std::move(chains)),
       initial_placement_(&initial_placement),
       initial_topo_(topo),
       placer_options_(placer_options),
-      cache_(oracle),
-      options_(options) {}
+      cache_(oracle) {}
 
 RecoveryController::~RecoveryController() = default;
 
@@ -57,18 +36,16 @@ std::vector<RecoveryEvent> RecoveryController::events() const {
   return events_;
 }
 
-std::vector<int> RecoveryController::affected_chains(
-    const std::string& element) const {
-  int server = -1, nic = -1;
-  bool openflow = false;
-  if (std::sscanf(element.c_str(), "server%d", &server) == 1) {
-  } else if (std::sscanf(element.c_str(), "link%d", &server) == 1) {
-    // A severed ToR link isolates the server: same placement consequence
-    // as the server dying.
-  } else if (std::sscanf(element.c_str(), "smartnic%d", &nic) == 1) {
-  } else if (element == "openflow") {
-    openflow = true;
-  }
+std::vector<int> RecoveryController::affected_chains(Element element) const {
+  using Kind = Element::Kind;
+  // A severed ToR link isolates the server: same placement consequence as
+  // the server dying.
+  const int server =
+      element.kind == Kind::kServer || element.kind == Kind::kLink
+          ? element.index
+          : -1;
+  const int nic = element.kind == Kind::kSmartNic ? element.index : -1;
+  const bool openflow = element.kind == Kind::kOpenFlow;
   const auto& placement = current_placement();
   std::set<int> affected;
   for (std::size_t c = 0; c < placement.chains.size(); ++c) {
@@ -121,22 +98,20 @@ int RecoveryController::pick_shed_victim(
 }
 
 void RecoveryController::detect(Testbed& testbed, std::uint64_t now_ns) {
-  for (const auto& [name, counter] : testbed.metrics().counters()) {
-    const std::string element = fault_element_of(name);
-    if (element.empty()) continue;
-    const std::uint64_t value = counter.value();
-    std::uint64_t& last = last_counter_[name];
+  for (const auto& [element, counter] : testbed.fault_counters()) {
+    const std::uint64_t value = counter->value();
+    std::uint64_t& last = last_counter_[element];
     const bool grew = value > last;
     last = value;
 
     // Wire impairments (corruption) are transient: no re-placement, just
     // an event that closes when the counter quiesces.
-    if (element.rfind("wire", 0) == 0) {
+    if (element.kind == Element::Kind::kWire) {
       auto it = ride_throughs_.find(element);
       if (it == ride_throughs_.end()) {
         if (!grew) continue;
         RecoveryEvent ev;
-        ev.element = element;
+        ev.element = element.name();
         ev.action = "impairment-ride-through";
         ev.detected_ns = now_ns;
         ev.fault_window_drops = value;
@@ -150,7 +125,7 @@ void RecoveryController::detect(Testbed& testbed, std::uint64_t now_ns) {
       if (ev.recovered) continue;  // Already closed; a flap re-opens below.
       ev.fault_window_drops = value;
       rt.quiet_quanta = grew ? 0 : rt.quiet_quanta + 1;
-      if (rt.quiet_quanta >= options_.impairment_quiet_quanta) {
+      if (rt.quiet_quanta >= kImpairmentQuietQuanta) {
         ev.recovered = true;
         ev.recovered_ns = now_ns;
         ev.slo_violation_ns = now_ns - ev.detected_ns;
@@ -163,34 +138,35 @@ void RecoveryController::detect(Testbed& testbed, std::uint64_t now_ns) {
         std::any_of(pending_.begin(), pending_.end(),
                     [&](const Pending& p) { return p.element == element; });
     if (queued) continue;
-    pending_.push_back(
-        Pending{element, now_ns, now_ns + options_.control_delay_ns});
+    pending_.push_back(Pending{element, now_ns, now_ns + kControlDelayNs});
   }
 }
 
 void RecoveryController::execute(Testbed& testbed, const Pending& pending,
                                  std::uint64_t now_ns) {
-  const std::string& element = pending.element;
+  const Element element = pending.element;
   handled_.insert(element);
 
   RecoveryEvent ev;
-  ev.element = element;
+  ev.element = element.name();
   ev.detected_ns = pending.detected_ns;
 
   // Mark the element failed in a fresh topology copy.
   topo::Topology topo = current_topo();
-  int index = -1;
-  if (std::sscanf(element.c_str(), "server%d", &index) == 1 ||
-      std::sscanf(element.c_str(), "link%d", &index) == 1) {
-    if (index >= 0 && index < static_cast<int>(topo.servers.size())) {
-      topo.servers[static_cast<std::size_t>(index)].failed = true;
-    }
-  } else if (std::sscanf(element.c_str(), "smartnic%d", &index) == 1) {
-    if (index >= 0 && index < static_cast<int>(topo.smartnics.size())) {
-      topo.smartnics[static_cast<std::size_t>(index)].failed = true;
-    }
-  } else if (element == "openflow") {
-    if (topo.openflow.has_value()) topo.openflow->failed = true;
+  const auto index = static_cast<std::size_t>(element.index);
+  switch (element.kind) {
+    case Element::Kind::kServer:
+    case Element::Kind::kLink:
+      if (index < topo.servers.size()) topo.servers[index].failed = true;
+      break;
+    case Element::Kind::kSmartNic:
+      if (index < topo.smartnics.size()) topo.smartnics[index].failed = true;
+      break;
+    case Element::Kind::kOpenFlow:
+      if (topo.openflow.has_value()) topo.openflow->failed = true;
+      break;
+    case Element::Kind::kWire:  // Ridden through in detect(), never here.
+      break;
   }
 
   ev.replaced_chains = affected_chains(element);
@@ -218,12 +194,8 @@ void RecoveryController::execute(Testbed& testbed, const Pending& pending,
                                          placer_options_, cache_);
   }
 
-  const auto fault_counter_name = "fault." + element + ".drops";
-  const auto counter_it =
-      testbed.metrics().counters().find(fault_counter_name);
-  ev.fault_window_drops = counter_it != testbed.metrics().counters().end()
-                              ? counter_it->second.value()
-                              : 0;
+  // detect() queued the element off this counter, so it exists.
+  ev.fault_window_drops = testbed.fault_counters().at(element)->value();
 
   if (!result.feasible) {
     for (const int c : shed_now) shed_.erase(c);

@@ -1,13 +1,15 @@
 // Live recovery controller (the control plane of the chaos harness).
 //
 // The controller never peeks at the fault scheduler: it detects failures
-// purely from the telemetry the Testbed emits — per-element
-// "fault.<element>.drops" counters backed by cause=fault drop-ledger
-// entries. Detection is followed by a fixed virtual control delay (the
-// modelled telemetry-pipeline + decision latency), after which the
+// purely from the telemetry the Testbed emits — Testbed::fault_counters(),
+// one cause=fault drop counter per failed Element (server, SmartNIC,
+// OpenFlow switch, ToR link, wire), exported as fault.<element>.drops.
+// Detection is followed by a fixed virtual control delay, kControlDelayNs
+// (the modelled telemetry-pipeline + decision latency), after which the
 // controller:
 //
-//   1. marks the failed element in a copy of the topology,
+//   1. marks the failed element in a copy of the topology (a severed ToR
+//      link isolates its server, so it marks the server),
 //   2. incrementally re-places only the chains the element carried
 //      (placer::replace_incremental over a persistent CachingOracle, so
 //      unaffected subgroups' switch probes hit cache),
@@ -19,12 +21,13 @@
 //      (explicit ledger cause) and retry until feasible.
 //
 // Wire impairments (corrupt) are not placement failures; the controller
-// rides them out and closes the event once the element's fault counter
-// stays quiet for a configured number of quanta.
+// rides them out and closes the event once the wire's fault counter
+// stays quiet for kImpairmentQuietQuanta quanta.
 //
 // Everything is keyed to virtual time, so with a fixed seed the whole
 // event log — detection times, MTTRs, drop counts, final placements — is
-// bit-identical across runs.
+// bit-identical across runs. Elements first detected in the same quantum
+// are queued, recovered and reported in Element order (kind, then index).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "src/metacompiler/metacompiler.h"
@@ -42,18 +44,14 @@
 
 namespace lemur::runtime {
 
-struct RecoveryOptions {
-  /// Detection-to-action latency (telemetry pipeline + decision),
-  /// virtual ns. Three 100us quanta by default.
-  std::uint64_t control_delay_ns = 300'000;
-  /// An impairment ride-through closes after this many consecutive
-  /// quanta without new fault drops on the element.
-  int impairment_quiet_quanta = 3;
-};
-
 class RecoveryController final : public RecoveryHook {
  public:
-  using Options = RecoveryOptions;
+  /// Detection-to-action latency (telemetry pipeline + decision),
+  /// virtual ns: three 100us quanta.
+  static constexpr std::uint64_t kControlDelayNs = 300'000;
+  /// An impairment ride-through closes after this many consecutive
+  /// quanta without new fault drops on the wire.
+  static constexpr int kImpairmentQuietQuanta = 3;
 
   /// `chains`/`topo` are copied (the controller mutates SLOs on the
   /// degradation ladder and failure marks on faults); `initial_placement`
@@ -64,8 +62,7 @@ class RecoveryController final : public RecoveryHook {
                      const placer::PlacementResult& initial_placement,
                      const topo::Topology& topo,
                      placer::PlacerOptions placer_options,
-                     placer::SwitchOracle& oracle,
-                     RecoveryOptions options = RecoveryOptions{});
+                     placer::SwitchOracle& oracle);
   ~RecoveryController() override;
 
   void on_quantum(Testbed& testbed, std::uint64_t now_ns) override;
@@ -105,7 +102,7 @@ class RecoveryController final : public RecoveryHook {
   };
 
   struct Pending {
-    std::string element;
+    Element element;
     std::uint64_t detected_ns = 0;
     std::uint64_t execute_at_ns = 0;
   };
@@ -120,8 +117,7 @@ class RecoveryController final : public RecoveryHook {
   void detect(Testbed& testbed, std::uint64_t now_ns);
   void execute(Testbed& testbed, const Pending& pending,
                std::uint64_t now_ns);
-  [[nodiscard]] std::vector<int> affected_chains(const std::string& element)
-      const;
+  [[nodiscard]] std::vector<int> affected_chains(Element element) const;
   /// Lowest-marginal not-yet-shed chain, or -1 when none remain.
   [[nodiscard]] int pick_shed_victim(
       const std::vector<chain::ChainSpec>& chains) const;
@@ -131,14 +127,13 @@ class RecoveryController final : public RecoveryHook {
   topo::Topology initial_topo_;
   placer::PlacerOptions placer_options_;
   placer::CachingOracle cache_;
-  Options options_;
 
   std::deque<std::unique_ptr<Generation>> generations_;
   std::vector<RecoveryEvent> events_;
   std::vector<Pending> pending_;
-  std::map<std::string, std::uint64_t> last_counter_;
-  std::map<std::string, RideThrough> ride_throughs_;
-  std::set<std::string> handled_;  ///< Elements already recovered from.
+  std::map<Element, std::uint64_t> last_counter_;
+  std::map<Element, RideThrough> ride_throughs_;
+  std::set<Element> handled_;  ///< Elements already recovered from.
   std::set<int> shed_;
 };
 

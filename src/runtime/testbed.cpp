@@ -102,8 +102,6 @@ Testbed::Testbed(const std::vector<chain::ChainSpec>& chains,
       flow_mode_(flow_mode),
       seed_(seed) {
   delivered_bytes_.assign(chains.size(), 0);
-  latency_sum_ns_.assign(chains.size(), 0);
-  delivered_packets_.assign(chains.size(), 0);
   offered_packets_.assign(chains.size(), 0);
   offered_bytes_.assign(chains.size(), 0);
   latency_ns_.assign(chains.size(), {});
@@ -166,11 +164,19 @@ void Testbed::drop(net::Packet&& pkt, net::HopPlatform platform,
   pool_.release(std::move(pkt));
 }
 
+telemetry::Counter& Testbed::fault_counter(Element element) {
+  auto& counter = fault_counters_[element];
+  if (counter == nullptr) {
+    counter = &metrics_.counter("fault." + element.name() + ".drops");
+  }
+  return *counter;
+}
+
 void Testbed::fault_drop(net::Packet&& pkt, net::HopPlatform platform,
-                         const std::string& counter) {
+                         Element element) {
   // A ledger spike says *that* something died; the per-element counter
   // says *what*.
-  metrics_.counter(counter).add(1);
+  fault_counter(element).add(1);
   drop(std::move(pkt), platform, telemetry::DropCause::kFault);
 }
 
@@ -228,15 +234,11 @@ void Testbed::build_servers() {
     rt.source = std::make_unique<WireSource>();
     rt.sink = std::make_unique<ReturnSink>();
     server_of_port_[kPorts.server(static_cast<int>(s))] = static_cast<int>(s);
-    const std::string index = std::to_string(s);
-    const std::string prefix = "server" + index;
+    const std::string prefix = "server" + std::to_string(s);
     rt.wire_depth = {&metrics_.gauge(prefix + ".wire_depth"),
                      &metrics_.histogram(prefix + ".wire_depth")};
     rt.queue_depth = {&metrics_.gauge(prefix + ".queue_depth"),
                       &metrics_.histogram(prefix + ".queue_depth")};
-    rt.server_fault = "fault.server" + index + ".drops";
-    rt.link_fault = "fault.link" + index + ".drops";
-    rt.wire_fault = "fault.wire" + index + ".drops";
     auto& dp = *rt.dataplane;
 
     const auto& plan = artifacts_->server_plans[s];
@@ -392,9 +394,7 @@ void Testbed::build_nics() {
         static_cast<double>(cost_cycles) /
         (topo_->servers[server].clock_ghz *
          rt.device->spec().speedup_vs_core));
-    rt.nfs.push_back(
-        {&artifact, cost_cycles, cost_ns,
-         "fault.smartnic" + std::to_string(artifact.smartnic) + ".drops"});
+    rt.nfs.push_back({&artifact, cost_cycles, cost_ns});
   }
 }
 
@@ -437,16 +437,13 @@ std::uint64_t Testbed::flush_server(ServerRt& rt,
 void Testbed::apply_fault_onsets(std::uint64_t now_ns) {
   if (faults_ == nullptr) return;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (server_dead_[s] != 0 ||
-        !faults_->server_dead(static_cast<int>(s), now_ns)) {
-      continue;
-    }
+    const Element server{Element::Kind::kServer, static_cast<int>(s)};
+    if (server_dead_[s] != 0 || !faults_->down(server, now_ns)) continue;
     server_dead_[s] = 1;
     // Everything resident on the dying server is lost right now.
-    auto& rt = servers_[s];
     const std::uint64_t flushed =
-        flush_server(rt, telemetry::DropCause::kFault);
-    if (flushed > 0) metrics_.counter(rt.server_fault).add(flushed);
+        flush_server(servers_[s], telemetry::DropCause::kFault);
+    if (flushed > 0) fault_counter(server).add(flushed);
   }
 }
 
@@ -557,10 +554,8 @@ void Testbed::deliver(net::Packet&& pkt, std::uint64_t ready_ns) {
   const auto chain =
       static_cast<std::size_t>(chain_of(pkt.aggregate_id));
   delivered_bytes_[chain] += pkt.size();
-  delivered_packets_[chain] += 1;
   const std::uint64_t latency =
       ready_ns > pkt.arrival_ns ? ready_ns - pkt.arrival_ns : 0;
-  latency_sum_ns_[chain] += latency;
   latency_ns_[chain].record(latency);
   if (record_raw_latencies_) raw_latency_ns_[chain].push_back(latency);
   if (tracing_) {
@@ -571,21 +566,23 @@ void Testbed::deliver(net::Packet&& pkt, std::uint64_t ready_ns) {
 
 void Testbed::to_server(net::Packet&& pkt, int server,
                         std::uint64_t ready_ns) {
-  const auto& rt = servers_[static_cast<std::size_t>(server)];
+  const Element host{Element::Kind::kServer, server};
+  const Element link{Element::Kind::kLink, server};
   // Injected faults intercept the packet before it reaches the NIC/wire.
   if (server_dead_[static_cast<std::size_t>(server)] ||
-      (faults_ != nullptr && faults_->server_dead(server, ready_ns))) {
-    fault_drop(std::move(pkt), net::HopPlatform::kServer, rt.server_fault);
+      (faults_ != nullptr && faults_->down(host, ready_ns))) {
+    fault_drop(std::move(pkt), net::HopPlatform::kServer, host);
     return;
   }
-  if (faults_ != nullptr && faults_->tor_link_down(server, ready_ns)) {
-    fault_drop(std::move(pkt), net::HopPlatform::kWire, rt.link_fault);
+  if (faults_ != nullptr && faults_->down(link, ready_ns)) {
+    fault_drop(std::move(pkt), net::HopPlatform::kWire, link);
     return;
   }
   if (faults_ != nullptr) {
     switch (faults_->wire_impairment(server, ready_ns)) {
       case FaultScheduler::Impairment::kCorrupt:
-        fault_drop(std::move(pkt), net::HopPlatform::kWire, rt.wire_fault);
+        fault_drop(std::move(pkt), net::HopPlatform::kWire,
+                   {Element::Kind::kWire, server});
         return;
       case FaultScheduler::Impairment::kDuplicate: {
         // The clone is extra offered load (conservation: both copies are
@@ -615,11 +612,11 @@ void Testbed::inject_server(net::Packet&& pkt, int server,
   auto& rt = servers_[static_cast<std::size_t>(server)];
   // In-line SmartNIC first: it runs the NF whose segment the packet's
   // NSH header names, if one is placed on it.
-  const NicNfRt* nic_nf = nullptr;
+  NicNfRt* nic_nf = nullptr;
   if (!rt.nic.nfs.empty()) {
     const auto* layers = pkt.layers();
     if (layers != nullptr && layers->nsh) {
-      for (const auto& nf : rt.nic.nfs) {
+      for (auto& nf : rt.nic.nfs) {
         if (nf.artifact->spi_in == layers->nsh->spi &&
             nf.artifact->si_in == layers->nsh->si) {
           nic_nf = &nf;
@@ -630,9 +627,9 @@ void Testbed::inject_server(net::Packet&& pkt, int server,
   }
   if (nic_nf != nullptr) {
     const auto& artifact = *nic_nf->artifact;
-    if (faults_ != nullptr && faults_->nic_dead(artifact.smartnic, ready_ns)) {
-      fault_drop(std::move(pkt), net::HopPlatform::kSmartNic,
-                 nic_nf->fault_counter);
+    const Element nic{Element::Kind::kSmartNic, artifact.smartnic};
+    if (faults_ != nullptr && faults_->down(nic, ready_ns)) {
+      fault_drop(std::move(pkt), net::HopPlatform::kSmartNic, nic);
       return;
     }
     // Engine occupancy: serialized packet processing.
@@ -643,7 +640,7 @@ void Testbed::inject_server(net::Packet&& pkt, int server,
       return;
     }
     rt.nic.engine_free_ns = start + nic_nf->cost_ns;
-    ++rt.nic.packets;
+    ++nic_nf->packets;
     // Traced before processing, so the hop carries the segment it runs.
     trace_hop(pkt, net::HopPlatform::kSmartNic,
               static_cast<std::uint16_t>(artifact.smartnic),
@@ -672,9 +669,9 @@ void Testbed::inject_server(net::Packet&& pkt, int server,
 }
 
 void Testbed::through_openflow(net::Packet&& pkt, std::uint64_t ready_ns) {
-  if (faults_ != nullptr && faults_->openflow_down(ready_ns)) {
-    fault_drop(std::move(pkt), net::HopPlatform::kOpenFlow,
-               "fault.openflow.drops");
+  const Element openflow{Element::Kind::kOpenFlow, 0};
+  if (faults_ != nullptr && faults_->down(openflow, ready_ns)) {
+    fault_drop(std::move(pkt), net::HopPlatform::kOpenFlow, openflow);
     return;
   }
   const metacompiler::OfArtifact* artifact = nullptr;
@@ -801,7 +798,7 @@ std::vector<telemetry::MeasuredNfProfile> Testbed::measured_nf_profiles()
   out.reserve(rows.size());
   for (auto& [key, row] : rows) out.push_back(std::move(row));
   // NIC-placed NFs: the engine charges the profiled cost exactly, so the
-  // measured profile is the charge itself, at the device's packet count.
+  // measured profile is the charge itself, at the NF's packet count.
   for (const auto& rt : servers_) {
     for (const auto& nf : rt.nic.nfs) {
       const auto& artifact = *nf.artifact;
@@ -813,7 +810,7 @@ std::vector<telemetry::MeasuredNfProfile> Testbed::measured_nf_profiles()
                      .graph.node(artifact.node)
                      .instance_name;
       row.platform = net::HopPlatform::kSmartNic;
-      row.packets = rt.nic.packets;
+      row.packets = nf.packets;
       row.cycles_per_packet = static_cast<double>(nf.cost_cycles);
       out.push_back(std::move(row));
     }
@@ -821,7 +818,7 @@ std::vector<telemetry::MeasuredNfProfile> Testbed::measured_nf_profiles()
   return out;
 }
 
-Measurement Testbed::run(double duration_ms, double offered_headroom,
+Measurement Testbed::run(double duration_ms,
                          const std::vector<double>& offered_gbps) {
   Measurement out;
   if (!ok()) return out;
@@ -833,7 +830,7 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
     const double offered =
         c < offered_gbps.size()
             ? offered_gbps[c]
-            : std::min(placement_->chains[c].assigned_gbps * offered_headroom,
+            : std::min(placement_->chains[c].assigned_gbps * kOfferedHeadroom,
                        (*chains_)[c].slo.t_max_gbps);
     sources.emplace_back(std::move(model), offered);
   }
@@ -934,12 +931,8 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
     out.chain_gbps[c] = static_cast<double>(delivered_bytes_[c]) * 8.0 /
                         (duration_ms * 1e6);
     out.aggregate_gbps += out.chain_gbps[c];
-    out.chain_latency_us[c] =
-        delivered_packets_[c] > 0
-            ? static_cast<double>(latency_sum_ns_[c]) /
-                  static_cast<double>(delivered_packets_[c]) / 1000.0
-            : 0;
     const auto& hist = latency_ns_[c];
+    out.chain_latency_us[c] = hist.mean() / 1000.0;
     if (hist.count() > 0) {
       out.chain_p50_us[c] = hist.quantile(0.50) / 1e3;
       out.chain_p95_us[c] = hist.quantile(0.95) / 1e3;
@@ -948,10 +941,10 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
     }
     out.chain_offered[c] = offered_packets_[c];
     out.offered_packets += offered_packets_[c];
-    out.chain_delivered[c] = delivered_packets_[c];
+    out.chain_delivered[c] = hist.count();
     out.chain_dropped[c] =
         drop_ledger_.chain_total(static_cast<int>(c));
-    out.delivered_packets += delivered_packets_[c];
+    out.delivered_packets += hist.count();
     offered_gbps_v[c] = static_cast<double>(offered_bytes_[c]) * 8.0 /
                         (duration_ms * 1e6);
   }
@@ -969,8 +962,7 @@ Measurement Testbed::run(double duration_ms, double offered_headroom,
   for (std::size_t c = 0; c < chains_->size(); ++c) {
     const std::string prefix = "chain" + std::to_string(c);
     metrics_.counter(prefix + ".offered_packets").add(offered_packets_[c]);
-    metrics_.counter(prefix + ".delivered_packets")
-        .add(delivered_packets_[c]);
+    metrics_.counter(prefix + ".delivered_packets").add(latency_ns_[c].count());
     metrics_.histogram(prefix + ".latency_ns").merge(latency_ns_[c]);
   }
   for (const auto& [key, n] : drop_ledger_.cells()) {

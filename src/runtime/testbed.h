@@ -127,9 +127,11 @@ struct Measurement {
 
 class Testbed {
  public:
-  /// Offered load defaults to each chain's LP-assigned rate plus 5%
+  /// Offered load defaults to each chain's LP-assigned rate plus this
   /// headroom — enough to reveal when actual capacity beats the Placer's
   /// conservative prediction, as in the paper's section 5.2.
+  static constexpr double kOfferedHeadroom = 1.05;
+
   Testbed(const std::vector<chain::ChainSpec>& chains,
           const placer::PlacementResult& placement,
           const metacompiler::CompiledArtifacts& artifacts,
@@ -142,8 +144,8 @@ class Testbed {
 
   /// Runs the measurement for `duration_ms` of virtual time.
   /// `offered_gbps` overrides the per-chain offered load; empty uses each
-  /// chain's LP-assigned rate times `offered_headroom`.
-  Measurement run(double duration_ms, double offered_headroom = 1.05,
+  /// chain's LP-assigned rate times kOfferedHeadroom (capped at t_max).
+  Measurement run(double duration_ms,
                   const std::vector<double>& offered_gbps = {});
 
   [[nodiscard]] const pisa::PisaSwitch& tor() const { return *tor_; }
@@ -151,7 +153,6 @@ class Testbed {
   /// Per-hop packet tracing (on by default). Off saves the per-hop
   /// record-keeping; drop attribution and latency histograms stay on.
   void set_tracing(bool enabled) { tracing_ = enabled; }
-  [[nodiscard]] bool tracing() const { return tracing_; }
 
   /// Packet-buffer pool: delivered/dropped packets return their frame
   /// buffers to an arena that injection re-uses, so steady state
@@ -225,10 +226,12 @@ class Testbed {
   /// degradation ladder's explicit ledger trail).
   void set_chain_shed(int chain, bool shed);
 
-  /// Drop ledger accumulated so far (the recovery controller's detection
-  /// signal, live during run()).
-  [[nodiscard]] const telemetry::DropLedger& drop_ledger() const {
-    return drop_ledger_;
+  /// Per-element cause=fault drop counters (fault.<element>.drops in
+  /// metrics()), live during run(): the recovery controller's detection
+  /// signal. An element appears on its first fault drop.
+  [[nodiscard]] const std::map<Element, telemetry::Counter*>&
+  fault_counters() const {
+    return fault_counters_;
   }
 
   /// Packets flushed during swap_plan() calls so far.
@@ -288,14 +291,13 @@ class Testbed {
     const metacompiler::NicArtifact* artifact;
     std::uint64_t cost_cycles;
     std::uint64_t cost_ns;
-    std::string fault_counter;
+    std::uint64_t packets = 0;  ///< Packets the engine ran through this NF.
   };
 
   struct NicRt {
     std::unique_ptr<nic::SmartNic> device;  ///< Null: no in-line NIC.
     std::vector<NicNfRt> nfs;
     std::uint64_t engine_free_ns = 0;
-    std::uint64_t packets = 0;  ///< Packets this testbed ran through it.
   };
 
   /// One server as the run loop sees it. Everything here is resolved by
@@ -313,10 +315,6 @@ class Testbed {
     std::vector<NfRt> nfs;  ///< In module creation order.
     DepthSeries wire_depth;
     DepthSeries queue_depth;
-    /// Per-element fault counter names ("fault.server<s>.drops", ...).
-    /// Counters are created on the first fault drop: the recovery
-    /// controller treats every fault counter as an element to watch.
-    std::string server_fault, link_fault, wire_fault;
   };
 
   /// Builds the whole rack from the current plan, which the caller has
@@ -354,7 +352,9 @@ class Testbed {
   /// drop() with cause=fault, plus the per-element counter the recovery
   /// controller localizes the failure by.
   void fault_drop(net::Packet&& pkt, net::HopPlatform platform,
-                  const std::string& counter);
+                  Element element);
+  /// The element's fault counter, created on first use.
+  telemetry::Counter& fault_counter(Element element);
   /// Appends a trace hop labelled with the NSH coordinates the packet
   /// carries now. It starts where the previous hop ended (or at arrival),
   /// so traces tile by construction. Server hops stay open (exit 0) until
@@ -401,10 +401,9 @@ class Testbed {
 
   // Measurement accumulators.
   std::vector<std::uint64_t> delivered_bytes_;
-  std::vector<std::uint64_t> latency_sum_ns_;
-  std::vector<std::uint64_t> delivered_packets_;
   std::vector<std::uint64_t> offered_packets_;
   std::vector<std::uint64_t> offered_bytes_;
+  /// Per-chain delivery latency; count() is the chain's delivered packets.
   std::vector<telemetry::LatencyHistogram> latency_ns_;
   std::vector<std::vector<std::uint64_t>> raw_latency_ns_;
   telemetry::DropLedger drop_ledger_;
@@ -412,6 +411,7 @@ class Testbed {
   /// Entries are never erased, so handles into it (DepthSeries,
   /// tor_backlog_) stay valid for the testbed's lifetime.
   telemetry::MetricsRegistry metrics_;
+  std::map<Element, telemetry::Counter*> fault_counters_;
   telemetry::Gauge* tor_backlog_ = nullptr;
   bool tracing_ = true;
   bool record_raw_latencies_ = false;

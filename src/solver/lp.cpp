@@ -11,24 +11,24 @@ constexpr double kEps = 1e-9;
 
 }  // namespace
 
-int LinearProgram::add_variable(double objective, double lower, double upper,
-                                std::string name) {
+int LinearProgram::add_variable(double objective, double lower,
+                                double upper) {
   assert(std::isfinite(lower));
   assert(upper >= lower);
-  vars_.push_back(Variable{objective, lower, upper, std::move(name)});
+  vars_.push_back(Variable{objective, lower, upper});
   return static_cast<int>(vars_.size()) - 1;
 }
 
-void LinearProgram::add_le(Terms terms, double rhs, std::string name) {
-  rows_.push_back(Row{std::move(terms), rhs, RowKind::kLe, std::move(name)});
+void LinearProgram::add_le(Terms terms, double rhs) {
+  rows_.push_back(Row{std::move(terms), rhs, RowKind::kLe});
 }
 
-void LinearProgram::add_ge(Terms terms, double rhs, std::string name) {
-  rows_.push_back(Row{std::move(terms), rhs, RowKind::kGe, std::move(name)});
+void LinearProgram::add_ge(Terms terms, double rhs) {
+  rows_.push_back(Row{std::move(terms), rhs, RowKind::kGe});
 }
 
-void LinearProgram::add_eq(Terms terms, double rhs, std::string name) {
-  rows_.push_back(Row{std::move(terms), rhs, RowKind::kEq, std::move(name)});
+void LinearProgram::add_eq(Terms terms, double rhs) {
+  rows_.push_back(Row{std::move(terms), rhs, RowKind::kEq});
 }
 
 /// Two-phase primal simplex over a dense tableau. Operates on the

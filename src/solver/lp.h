@@ -5,7 +5,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,27 +20,16 @@ class LinearProgram {
   /// returns its index. Bounds: lower must be finite (>= -inf is not
   /// supported; Lemur's rates are naturally >= 0).
   int add_variable(double objective, double lower = 0.0,
-                   double upper = kInfinity, std::string name = "");
+                   double upper = kInfinity);
 
   using Terms = std::vector<std::pair<int, double>>;
 
   /// sum(coeff * var) <= rhs
-  void add_le(Terms terms, double rhs, std::string name = "");
+  void add_le(Terms terms, double rhs);
   /// sum(coeff * var) >= rhs
-  void add_ge(Terms terms, double rhs, std::string name = "");
+  void add_ge(Terms terms, double rhs);
   /// sum(coeff * var) == rhs
-  void add_eq(Terms terms, double rhs, std::string name = "");
-
-  [[nodiscard]] int num_variables() const {
-    return static_cast<int>(vars_.size());
-  }
-  [[nodiscard]] int num_constraints() const {
-    return static_cast<int>(rows_.size());
-  }
-
-  [[nodiscard]] const std::string& variable_name(int i) const {
-    return vars_[static_cast<std::size_t>(i)].name;
-  }
+  void add_eq(Terms terms, double rhs);
 
  private:
   friend class SimplexSolver;
@@ -50,7 +38,6 @@ class LinearProgram {
     double objective = 0;
     double lower = 0;
     double upper = kInfinity;
-    std::string name;
   };
 
   enum class RowKind { kLe, kGe, kEq };
@@ -59,7 +46,6 @@ class LinearProgram {
     Terms terms;
     double rhs = 0;
     RowKind kind = RowKind::kLe;
-    std::string name;
   };
 
   std::vector<Variable> vars_;

@@ -7,6 +7,12 @@
 namespace lemur::telemetry {
 namespace {
 
+/// Fractional slack on rate bounds before a violation is declared (the
+/// testbed's measurement window quantization costs a few percent).
+constexpr double kRateTolerance = 0.10;
+/// Latency quantile judged against d_max.
+constexpr double kLatencyQuantile = 0.99;
+
 std::string format_gbps(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -73,8 +79,7 @@ SloReport evaluate_slo(const std::vector<chain::ChainSpec>& chains,
                        const std::vector<double>& delivered_gbps,
                        const std::vector<const LatencyHistogram*>& latency_ns,
                        const TraceAggregator& traces,
-                       const DropLedger& drops,
-                       const SloMonitorOptions& options) {
+                       const DropLedger& drops) {
   SloReport report;
   for (std::size_t c = 0; c < chains.size(); ++c) {
     const int chain = static_cast<int>(c);
@@ -109,7 +114,7 @@ SloReport evaluate_slo(const std::vector<chain::ChainSpec>& chains,
     }
     if (floor_gbps > 0 &&
         compliance.delivered_gbps <
-            floor_gbps * (1.0 - options.rate_tolerance)) {
+            floor_gbps * (1.0 - kRateTolerance)) {
       SloViolation v;
       v.chain = chain;
       v.kind = SloViolationKind::kRateBelowTmin;
@@ -132,7 +137,7 @@ SloReport evaluate_slo(const std::vector<chain::ChainSpec>& chains,
 
     if (slo.t_max_gbps < chain::Slo::kUnbounded &&
         compliance.delivered_gbps >
-            slo.t_max_gbps * (1.0 + options.rate_tolerance)) {
+            slo.t_max_gbps * (1.0 + kRateTolerance)) {
       SloViolation v;
       v.chain = chain;
       v.kind = SloViolationKind::kRateAboveTmax;
@@ -145,8 +150,7 @@ SloReport evaluate_slo(const std::vector<chain::ChainSpec>& chains,
     }
 
     if (slo.has_latency_bound() && hist != nullptr && hist->count() > 0) {
-      const double tail_us =
-          hist->quantile(options.latency_quantile) / 1e3;
+      const double tail_us = hist->quantile(kLatencyQuantile) / 1e3;
       if (tail_us > slo.d_max_us) {
         SloViolation v;
         v.chain = chain;

@@ -65,22 +65,15 @@ struct SloReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-struct SloMonitorOptions {
-  /// Fractional slack on rate bounds before a violation is declared (the
-  /// testbed's measurement window quantization costs a few percent).
-  double rate_tolerance = 0.10;
-  /// Latency quantile judged against d_max.
-  double latency_quantile = 0.99;
-};
-
-/// `latency_ns[c]` may be null for chains with no delivered packets.
+/// Rate bounds get 10% slack before a violation is declared; latency is
+/// judged at p99 against d_max. `latency_ns[c]` may be null for chains
+/// with no delivered packets.
 SloReport evaluate_slo(const std::vector<chain::ChainSpec>& chains,
                        const placer::PlacementResult& placement,
                        const std::vector<double>& offered_gbps,
                        const std::vector<double>& delivered_gbps,
                        const std::vector<const LatencyHistogram*>& latency_ns,
                        const TraceAggregator& traces,
-                       const DropLedger& drops,
-                       const SloMonitorOptions& options = {});
+                       const DropLedger& drops);
 
 }  // namespace lemur::telemetry

@@ -61,8 +61,6 @@ void TraceAggregator::observe(const net::Packet& pkt,
     stats.total_ns += residency;
     stats.residency_ns.record(residency);
   }
-  auto& kept = retained_[chain];
-  if (kept.size() < kRetainedTraces) kept.push_back(pkt.hops);
 }
 
 const HopKey* TraceAggregator::dominant_hop(int chain, double* mean_ns,
@@ -83,13 +81,6 @@ const HopKey* TraceAggregator::dominant_hop(int chain, double* mean_ns,
   if (mean_ns != nullptr) *mean_ns = best_mean;
   if (share != nullptr) *share = mean_sum > 0 ? best_mean / mean_sum : 0;
   return best;
-}
-
-const std::vector<std::vector<net::PacketHop>>&
-TraceAggregator::retained_traces(int chain) const {
-  static const std::vector<std::vector<net::PacketHop>> kEmpty;
-  const auto it = retained_.find(chain);
-  return it != retained_.end() ? it->second : kEmpty;
 }
 
 }  // namespace lemur::telemetry

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/net/packet.h"
 #include "src/telemetry/metrics.h"
@@ -51,9 +50,6 @@ struct HopStats {
 
 class TraceAggregator {
  public:
-  /// Retained full example traces per chain (for inspection/JSON).
-  static constexpr std::size_t kRetainedTraces = 4;
-
   /// Folds a delivered packet's trace in; validates continuity. `chain`
   /// is the 0-based chain index the packet's aggregate belongs to.
   void observe(const net::Packet& pkt, std::uint64_t egress_ns, int chain);
@@ -80,12 +76,8 @@ class TraceAggregator {
     return first_continuity_error_;
   }
 
-  [[nodiscard]] const std::vector<std::vector<net::PacketHop>>&
-  retained_traces(int chain) const;
-
  private:
   std::map<std::pair<int, HopKey>, HopStats> hops_;
-  std::map<int, std::vector<std::vector<net::PacketHop>>> retained_;
   std::uint64_t traces_observed_ = 0;
   std::uint64_t continuity_errors_ = 0;
   std::string first_continuity_error_;

@@ -418,7 +418,6 @@ TEST(Strategies, LemurAtLeastAsGoodAsBaselines) {
 
 TEST(Strategies, OptimalNotWorseThanLemur) {
   StrategyFixture fx;
-  fx.options.optimal_beam_width = 6;
   for (double delta : {0.5, 1.5}) {
     auto chains = chains_with_delta({2, 3}, delta, fx.topo, fx.options);
     auto lemur =

@@ -153,6 +153,52 @@ TEST(FaultSpec, RejectsAnythingAfterANumber) {
   }
 }
 
+TEST(FaultSpec, ElementNamesSortLikeTheirCounters) {
+  using Kind = Element::Kind;
+  const std::vector<Element> elements = {
+      {Kind::kLink, 0},   {Kind::kOpenFlow, 0}, {Kind::kServer, 1},
+      {Kind::kServer, 2}, {Kind::kSmartNic, 0}, {Kind::kWire, 0},
+  };
+  const std::vector<std::string> names = {
+      "link0", "openflow", "server1", "server2", "smartnic0", "wire0"};
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    EXPECT_EQ(elements[i].name(), names[i]);
+    // Kinds are declared in name order: Elements sort like their names.
+    if (i > 0) {
+      EXPECT_LT(elements[i - 1], elements[i]) << names[i];
+      EXPECT_LT(names[i - 1], names[i]);
+    }
+  }
+  // The one exception: indices of different digit counts sort by value.
+  EXPECT_LT((Element{Kind::kServer, 2}), (Element{Kind::kServer, 10}));
+  EXPECT_GT(std::string("server2"), (Element{Kind::kServer, 10}.name()));
+}
+
+TEST(FaultSpec, DeathsArePermanentAndLinksFlap) {
+  using Kind = Element::Kind;
+  std::string error;
+  const auto events = FaultScheduler::parse(
+      "server:1@1+1;nic:0@1;link:2@1+1;of@1+1;corrupt:0@1+1@1", &error);
+  ASSERT_TRUE(events.has_value()) << error;
+  const FaultScheduler faults(*events, 7);
+  for (const Element dies : {Element{Kind::kServer, 1},
+                             Element{Kind::kSmartNic, 0}}) {
+    EXPECT_FALSE(faults.down(dies, 999'999)) << dies.name();
+    EXPECT_TRUE(faults.down(dies, 1'000'000)) << dies.name();
+    EXPECT_TRUE(faults.down(dies, 50'000'000)) << dies.name();
+  }
+  for (const Element flaps : {Element{Kind::kLink, 2},
+                              Element{Kind::kOpenFlow, 0}}) {
+    EXPECT_FALSE(faults.down(flaps, 999'999)) << flaps.name();
+    EXPECT_TRUE(faults.down(flaps, 1'999'999)) << flaps.name();
+    EXPECT_FALSE(faults.down(flaps, 2'000'000)) << flaps.name();
+  }
+  // Other indices stay up; an impaired wire is judged per packet.
+  EXPECT_FALSE(faults.down({Kind::kServer, 2}, 1'500'000));
+  EXPECT_FALSE(faults.down({Kind::kLink, 1}, 1'500'000));
+  EXPECT_FALSE(faults.down({Kind::kWire, 0}, 1'500'000));
+}
+
 TEST(Recovery, ServerDeathIsDetectedAndRecovered) {
   auto s = canonical_scenario({3, 5}, 1.0);
   const auto used = used_servers(s.placement);
@@ -283,8 +329,8 @@ TEST(Recovery, SameSeedChaosRunsAreBitIdentical) {
 
 TEST(Recovery, SameQuantumDetectionsKeepTheirOrder) {
   // Elements first detected in the same quantum are queued, executed and
-  // reported in one fixed order (element kind, then index); a re-keyed
-  // controller must keep it, or event logs stop matching across commits.
+  // reported in one fixed order (element kind, then index), so event logs
+  // stay comparable across commits.
   struct Expected {
     std::string element;
     std::string action;

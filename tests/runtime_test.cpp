@@ -327,7 +327,7 @@ TEST(EndToEnd, SchedulerEnforcesTmax) {
   ASSERT_TRUE(testbed.ok()) << testbed.error();
   // Offer 4x the cap. A long window keeps the post-injection drain of
   // the backlogged replica queue a small fraction of the measurement.
-  auto m = testbed.run(60.0, 1.0, {6.0});
+  auto m = testbed.run(60.0, {6.0});
   EXPECT_LT(m.chain_gbps[0], 1.5 * 1.12);
   EXPECT_GT(m.chain_gbps[0], 1.5 * 0.75);
 }

@@ -276,7 +276,7 @@ TEST(Conservation, ExactUnderOverload) {
   for (const auto& c : d.placement.chains) {
     offered.push_back(8.0 * c.assigned_gbps);
   }
-  auto m = testbed.run(10.0, 1.05, offered);
+  auto m = testbed.run(10.0, offered);
   EXPECT_GT(m.drops.total(), 0u);
   expect_conserved(m);
   // Overload shows up as queue-overflow drops on at least one chain.
@@ -364,6 +364,47 @@ TEST(MeasuredProfiles, ComparableToStaticTable) {
     EXPECT_LT(row.cycles_per_packet, 1.5 * static_cast<double>(ref->cycles))
         << row.name;
   }
+}
+
+TEST(MeasuredProfiles, EachNicNfCountsItsOwnPackets) {
+  // Two chains put six NFs on one SmartNIC. Every packet is delivered, so
+  // each NIC row's packet count is exactly its NF's traced NIC hop (same
+  // SPI/SI), not the device's total.
+  Deployed d;
+  d.topo = topo::Topology::lemur_testbed_with_smartnic();
+  d.options.disable_pisa_nfs = true;
+  d.chains = chain::canonical_chains({5, 3});
+  placer::apply_delta(d.chains, 0.5, d.topo.servers.front(), d.options);
+  metacompiler::CompilerOracle oracle(d.topo);
+  d.placement = placer::place(placer::Strategy::kLemur, d.chains, d.topo,
+                              d.options, oracle);
+  ASSERT_TRUE(d.placement.feasible) << d.placement.infeasible_reason;
+  d.artifacts = metacompiler::compile(d.chains, d.placement, d.topo);
+  ASSERT_TRUE(d.artifacts.ok) << d.artifacts.error;
+  ASSERT_GE(d.artifacts.nic_programs.size(), 2u);
+  runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+  const auto m = testbed.run(2.0);
+  ASSERT_EQ(m.delivered_packets, m.offered_packets);
+
+  std::size_t nic_rows = 0;
+  for (const auto& row : testbed.measured_nf_profiles()) {
+    if (row.platform != net::HopPlatform::kSmartNic) continue;
+    ++nic_rows;
+    const metacompiler::NicArtifact* artifact = nullptr;
+    for (const auto& a : d.artifacts.nic_programs) {
+      if (a.chain == row.chain && a.node == row.node) artifact = &a;
+    }
+    ASSERT_NE(artifact, nullptr) << row.name;
+    const HopKey hop{net::HopPlatform::kSmartNic,
+                     static_cast<std::uint16_t>(artifact->smartnic),
+                     artifact->spi_in, artifact->si_in};
+    const auto it = testbed.traces().hops().find({row.chain, hop});
+    ASSERT_NE(it, testbed.traces().hops().end()) << to_string(hop);
+    EXPECT_GT(row.packets, 0u) << to_string(hop);
+    EXPECT_EQ(row.packets, it->second.packets) << to_string(hop);
+  }
+  EXPECT_EQ(nic_rows, d.artifacts.nic_programs.size());
 }
 
 TEST(StatsJson, SnapshotCarriesEverySection) {
