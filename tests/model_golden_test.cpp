@@ -1,4 +1,4 @@
-// Golden pin of what the simulated rack models. Two fixed-seed runs are
+// Golden pin of what the simulated rack models. Three fixed-seed runs are
 // reduced to their integer Measurement fields (per-chain offered,
 // delivered, dropped and residual; every drop-ledger cell; recovery
 // events) plus the per-chain latency-histogram counts, and compared
@@ -9,6 +9,7 @@
 // Re-record only for an intended model change, and say so in the change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -134,6 +135,75 @@ TEST(ModelGolden, ChaosServerDeathAndWireCorruption) {
             "  detected 1000000 recovered 2400000 window 136 flush 0\n"
             "event server1 replaced\n"
             "  detected 2000000 recovered 2300000 window 521 flush 99\n");
+}
+
+TEST(ModelGolden, ChaosOpenFlowNicLinkAndWireImpairments) {
+  auto topo = topo::Topology::multi_server(2, 16);
+  topo.smartnics.push_back(topo::SmartNicSpec{});
+  topo.openflow = topo::OpenFlowSwitchSpec{};
+  const auto r = place_rack({2, 4, 5}, topo);
+  std::string parse_error;
+  const auto events = FaultScheduler::parse(
+      "of@1+1;nic:0@2;dup:0@3+1@0.5;reorder:1@3+1;link:1@4+1", &parse_error);
+  ASSERT_TRUE(events.has_value()) << parse_error;
+  FaultScheduler faults(*events, 7);
+  metacompiler::CompilerOracle oracle(r.topo);
+  RecoveryController controller(r.chains, r.placement, r.topo, r.options,
+                                oracle);
+  Testbed testbed(r.chains, r.placement, r.artifacts, r.topo, 7);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+  testbed.set_fault_scheduler(&faults);
+  testbed.set_recovery_hook(&controller);
+  const auto m = testbed.run(6.0);
+  EXPECT_EQ(testbed.plan_generation(), 3);
+
+  // Every fault path is on the run: OpenFlow down, SmartNIC death and the
+  // ToR link each drop packets against their element; a duplicate adds
+  // offered load over the same rack without faults; a reordered packet
+  // spends at least the 300 us slip on server 1.
+  for (const auto& name : {"openflow", "smartnic0", "link1"}) {
+    const auto it = testbed.metrics().counters().find(
+        std::string("fault.") + name + ".drops");
+    ASSERT_NE(it, testbed.metrics().counters().end()) << name;
+    EXPECT_GT(it->second.value(), 0u) << name;
+  }
+  Testbed clean(r.chains, r.placement, r.artifacts, r.topo, 7);
+  EXPECT_GT(m.offered_packets, clean.run(6.0).offered_packets);
+  std::uint64_t slowest_server1_hop = 0;
+  for (const auto& [key, stats] : testbed.traces().hops()) {
+    if (key.second.platform == net::HopPlatform::kServer &&
+        key.second.id == 1) {
+      slowest_server1_hop =
+          std::max(slowest_server1_hop, stats.residency_ns.max());
+    }
+  }
+  EXPECT_GE(slowest_server1_hop, 300'000u);
+
+  EXPECT_EQ(digest(testbed, m),
+            "total offered 21463 delivered 18045 dropped 3279 residual 0\n"
+            "chain0 offered 15986 delivered 13475 dropped 2511 residual 0\n"
+            "chain1 offered 753 delivered 571 dropped 182 residual 0\n"
+            "chain2 offered 4724 delivered 3999 dropped 725 residual 0\n"
+            "drop chain0 wire fault 1066\n"
+            "drop chain0 wire recovery-flush 534\n"
+            "drop chain0 tor recovery-flush 772\n"
+            "drop chain0 server recovery-flush 139\n"
+            "drop chain1 wire fault 44\n"
+            "drop chain1 wire recovery-flush 22\n"
+            "drop chain1 tor recovery-flush 77\n"
+            "drop chain1 openflow fault 39\n"
+            "drop chain2 wire recovery-flush 218\n"
+            "drop chain2 tor recovery-flush 217\n"
+            "drop chain2 smartnic fault 290\n"
+            "chain0 latency n 13475 sum 3402495439 min 27224 max 805662\n"
+            "chain1 latency n 571 sum 166527472 min 203145 max 515894\n"
+            "chain2 latency n 3999 sum 1227056803 min 25800 max 1649009\n"
+            "event openflow replaced\n"
+            "  detected 1100000 recovered 1400000 window 39 flush 700\n"
+            "event smartnic0 replaced\n"
+            "  detected 2200000 recovered 2500000 window 290 flush 722\n"
+            "event link1 replaced\n"
+            "  detected 4000000 recovered 4300000 window 1110 flush 557\n");
 }
 
 }  // namespace
