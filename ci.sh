@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build + test twice — a normal RelWithDebInfo build and
 # an ASan/UBSan build (-DLEMUR_SANITIZE="address;undefined") — failing on
-# any compiler warning in either — then the host-speed gates (telemetry
-# smoke, dataplane micro, failover MTTR) on the normal build. src/verify
+# any compiler warning in either — then the standalone rackbench build and
+# its self-tests, then the host-speed gates (telemetry smoke, dataplane
+# micro, failover MTTR) on the normal build. src/verify
 # additionally builds with -Werror (see src/verify/CMakeLists.txt).
 #
 # Builds go into a throwaway temp directory (removed on exit) so CI never
@@ -25,11 +26,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-run_config() {
+# Builds a configured tree; fails on a build error or any compiler warning.
+build_checked() {
   local name="$1" build_dir="$2"
-  shift 2
-  echo "==== [$name] configure ===="
-  cmake -B "$build_dir" -S "$repo_root" "$@"
   echo "==== [$name] build ===="
   local log
   log="$(mktemp)"
@@ -45,6 +44,14 @@ run_config() {
     return 1
   fi
   rm -f "$log"
+}
+
+run_config() {
+  local name="$1" build_dir="$2"
+  shift 2
+  echo "==== [$name] configure ===="
+  cmake -B "$build_dir" -S "$repo_root" "$@"
+  build_checked "$name" "$build_dir"
   echo "==== [$name] ctest ===="
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 }
@@ -52,6 +59,15 @@ run_config() {
 run_config normal "$ci_root/build"
 run_config sanitize "$ci_root/build-sanitize" \
   -DLEMUR_SANITIZE="address;undefined"
+
+# The rack benchmark, configured standalone as the benchmark harness
+# builds it: a change to the library surface it links against must still
+# build without warnings and pass the benchmark's self-tests.
+echo "==== [rackbench] configure ===="
+cmake -S "$repo_root/rackbench" -B "$ci_root/rackbench"
+build_checked rackbench "$ci_root/rackbench"
+echo "==== [rackbench] selftest ===="
+"$ci_root/rackbench/rackbench_selftest"
 
 # Host-speed gates, on the normal build, after both ctest configurations
 # so a slow host cannot keep the sanitizer configuration from running.

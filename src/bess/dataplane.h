@@ -66,12 +66,6 @@ class ServerDataplane {
     return modules_;
   }
 
-  /// Mutable module access for fault flushing (Queue::take_all) and
-  /// stateful-NF export/import during a recovery swap.
-  [[nodiscard]] std::vector<std::unique_ptr<Module>>& modules() {
-    return modules_;
-  }
-
  private:
   topo::ServerSpec spec_;
   std::vector<std::unique_ptr<Module>> modules_;

@@ -22,22 +22,10 @@ class Queue : public Module {
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Removes and returns every queued packet (dataplane swap / fault
-  /// flush: the residents must be re-charged to the drop ledger so
-  /// per-chain conservation survives a mid-run rebuild).
-  [[nodiscard]] std::deque<net::Packet> take_all() {
-    std::deque<net::Packet> out;
-    out.swap(fifo_);
-    return out;
-  }
-
-  /// End-of-run residents per aggregate_id (the conservation residue).
-  [[nodiscard]] std::map<std::uint32_t, std::uint64_t>
-  residents_by_aggregate() const {
-    std::map<std::uint32_t, std::uint64_t> out;
-    for (const auto& pkt : fifo_) ++out[pkt.aggregate_id];
-    return out;
-  }
+  /// The queued packets, for a dataplane swap or fault flush (the
+  /// residents must be re-charged to the drop ledger so per-chain
+  /// conservation survives a mid-run rebuild) and the end-of-run count.
+  [[nodiscard]] std::deque<net::Packet>& residents() { return fifo_; }
 
  private:
   std::size_t capacity_;

@@ -30,6 +30,10 @@ struct PortMap {
   [[nodiscard]] std::uint32_t server(int s) const {
     return static_cast<std::uint32_t>(10 + s);
   }
+  /// The server behind `port`, or -1 below the first server port.
+  [[nodiscard]] int server_of(std::uint32_t port) const {
+    return port >= server(0) ? static_cast<int>(port - server(0)) : -1;
+  }
 };
 
 struct P4Artifact {

@@ -143,6 +143,29 @@ TEST(EndToEnd, SimpleMixedChainDeliversPredictedRate) {
   EXPECT_GT(m.delivered_packets, 1000u);
 }
 
+TEST(EndToEnd, SecondRunIsRefused) {
+  // A testbed measures once: its accumulators, queues and clocks carry the
+  // first run's state, so a second run would report both runs' offered
+  // load against none of the second run's deliveries.
+  E2E env;
+  auto deployed = env.deploy({make_spec("ACL -> Encrypt -> IPv4Fwd", 1.0)});
+  Testbed testbed(deployed.chains, deployed.placement, deployed.artifacts,
+                  env.topo);
+  ASSERT_TRUE(testbed.ok()) << testbed.error();
+  const auto first = testbed.run(5.0);
+  EXPECT_GT(first.delivered_packets, 0u);
+  EXPECT_TRUE(testbed.ok());
+
+  const auto second = testbed.run(5.0);
+  EXPECT_FALSE(testbed.ok());
+  EXPECT_NE(testbed.error().find("run()"), std::string::npos)
+      << testbed.error();
+  EXPECT_EQ(second.offered_packets, 0u);
+  EXPECT_EQ(second.delivered_packets, 0u);
+  EXPECT_EQ(second.aggregate_gbps, 0.0);
+  EXPECT_TRUE(second.chain_offered.empty());
+}
+
 TEST(EndToEnd, EncryptionRoundTripsAcrossPlatforms) {
   // Encrypt on the server, Decrypt on the server, ACL+Fwd on the switch:
   // egress payloads must equal the original plaintext (Encrypt->Decrypt

@@ -358,29 +358,7 @@ int main(int argc, char** argv) {
     w.kv("duration_ms", cli.measure_ms);
     w.kv("plan_generations", testbed.plan_generation());
     w.key("events");
-    w.begin_array();
-    for (const auto& ev : m.recovery) {
-      w.begin_object();
-      w.kv("element", ev.element);
-      w.kv("action", ev.action);
-      w.kv("detected_ns", ev.detected_ns);
-      w.kv("recovered_ns", ev.recovered_ns);
-      w.kv("mttr_ns", ev.recovered_ns - ev.detected_ns);
-      w.kv("fault_window_drops", ev.fault_window_drops);
-      w.kv("recovery_flush_drops", ev.recovery_flush_drops);
-      w.kv("slo_violation_ns", ev.slo_violation_ns);
-      w.kv("recovered", ev.recovered);
-      w.key("replaced_chains");
-      w.begin_array();
-      for (int c : ev.replaced_chains) w.value(c + 1);
-      w.end_array();
-      w.key("shed_chains");
-      w.begin_array();
-      for (int c : ev.shed_chains) w.value(c + 1);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
+    runtime::write_recovery_events(w, m.recovery);
     w.key("chains");
     w.begin_array();
     for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
