@@ -5,16 +5,21 @@
 // verbatim against values recorded once. The other runtime tests compare
 // same-seed runs inside one binary; this one catches a refactor that
 // changes stage order, timing or drop attribution across commits.
+// Four more runs pin the bytes of every egress frame, which no
+// Measurement field sees: a changed payload byte (generator fill, cipher
+// keystream) moves only these.
 //
 // Re-record only for an intended model change, and say so in the change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "src/chain/canonical.h"
 #include "src/metacompiler/pisa_oracle.h"
+#include "src/net/pcap.h"
 #include "src/placer/placer.h"
 #include "src/runtime/recovery.h"
 #include "src/runtime/testbed.h"
@@ -30,11 +35,12 @@ struct Rack {
   metacompiler::CompiledArtifacts artifacts;
 };
 
-Rack place_rack(const std::vector<int>& numbers, topo::Topology topo) {
+Rack place_rack(const std::vector<int>& numbers, topo::Topology topo,
+                double delta = 1.0) {
   Rack r;
   r.topo = std::move(topo);
   r.chains = chain::canonical_chains(numbers);
-  placer::apply_delta(r.chains, 1.0, r.topo.servers.front(), r.options);
+  placer::apply_delta(r.chains, delta, r.topo.servers.front(), r.options);
   metacompiler::CompilerOracle oracle(r.topo);
   r.placement = placer::place(placer::Strategy::kLemur, r.chains, r.topo,
                               r.options, oracle);
@@ -204,6 +210,73 @@ TEST(ModelGolden, ChaosOpenFlowNicLinkAndWireImpairments) {
             "  detected 2200000 recovered 2500000 window 290 flush 722\n"
             "event link1 replaced\n"
             "  detected 4000000 recovered 4300000 window 1110 flush 557\n");
+}
+
+/// Runs the rack for 3 ms with seed 7 and captures its egress; returns the
+/// frame count, the byte count and an order-sensitive FNV-1a hash over
+/// every frame's length and bytes.
+std::string egress_digest(const Rack& r, const std::string& name,
+                          FlowMode mode = FlowMode::kLongLived) {
+  const std::string path = testing::TempDir() + "golden_egress_" + name +
+                           ".pcap";
+  {
+    Testbed testbed(r.chains, r.placement, r.artifacts, r.topo, 7, mode);
+    EXPECT_TRUE(testbed.ok()) << testbed.error();
+    EXPECT_TRUE(testbed.capture_egress_to(path)) << path;
+    testbed.run(3.0);
+  }  // The capture closes with the testbed.
+  const auto records = net::read_pcap(path);
+  std::remove(path.c_str());
+  std::uint64_t hash = 14695981039346656037ull;
+  std::uint64_t bytes = 0;
+  const auto mix = [&](std::uint8_t b) {
+    hash ^= b;
+    hash *= 1099511628211ull;
+  };
+  for (const auto& rec : records) {
+    const auto size = rec.data.size();
+    for (int shift = 0; shift < 32; shift += 8) {
+      mix(static_cast<std::uint8_t>(size >> shift));
+    }
+    for (const std::uint8_t b : rec.data) mix(b);
+    bytes += size;
+  }
+  std::ostringstream out;
+  out << "frames " << records.size() << " bytes " << bytes << " fnv 0x"
+      << std::hex << hash;
+  return out.str();
+}
+
+// lemur_cli --chain 3 --chain 5 --servers 2 --cores 8 --measure 3:
+// Dedup and FastEncrypt on two small servers.
+TEST(ModelGolden, EgressBytesFastEncryptDedupTwoServers) {
+  const auto r = place_rack({3, 5}, topo::Topology::multi_server(2, 8));
+  EXPECT_EQ(egress_digest(r, "chains35"),
+            "frames 4896 bytes 7344000 fnv 0xc3b202dd4a3571ff");
+}
+
+// lemur_cli --chain 1 --chain 2 --chain 3 --chain 4 --delta 0.9
+// --measure 3: AES Encrypt, UrlFilter, Dedup and VLAN-tagged Tunnel paths.
+TEST(ModelGolden, EgressBytesFourChainsOnTestbed) {
+  const auto r =
+      place_rack({1, 2, 3, 4}, topo::Topology::lemur_testbed(), 0.9);
+  EXPECT_EQ(egress_digest(r, "chains1234"),
+            "frames 6609 bytes 9914160 fnv 0xb74ad0604f5c4631");
+}
+
+// lemur_cli --chain 4 --chain 5 --delta 0.5 --measure 3: the Tunnel and
+// FastEncrypt chains at half their base rate.
+TEST(ModelGolden, EgressBytesChains45OnTestbed) {
+  const auto r = place_rack({4, 5}, topo::Topology::lemur_testbed(), 0.5);
+  EXPECT_EQ(egress_digest(r, "chains45"),
+            "frames 7954 bytes 11931572 fnv 0x6de50836dba69d1b");
+}
+
+// Flow churn: a new flow every few packets through Dedup and Monitor.
+TEST(ModelGolden, EgressBytesShortLivedFlows) {
+  const auto r = place_rack({3, 4}, topo::Topology::multi_server(2, 8));
+  EXPECT_EQ(egress_digest(r, "churn34", FlowMode::kShortLived),
+            "frames 2148 bytes 3225964 fnv 0xdfe45595b273ee08");
 }
 
 }  // namespace
