@@ -369,7 +369,7 @@ void ServerStage::accept(net::Packet&& pkt, std::uint64_t ready_ns) {
   nic_.accept(std::move(pkt), ready_ns);
 }
 
-void ServerStage::finish() {
+void ServerStage::sweep_module_drops() {
   auto& report = links_.report;
   const auto sweep = [&](const bess::Module& module,
                          telemetry::DropCause cause) {
@@ -384,8 +384,12 @@ void ServerStage::finish() {
   for (const auto& nf : nfs_) {
     sweep(*nf.module, telemetry::DropCause::kNfVerdict);
   }
+}
+
+void ServerStage::finish() {
+  sweep_module_drops();
   walk([&](net::HopPlatform, auto& fifo) {
-    for (auto& e : fifo) report.residual(packet_of(e));
+    for (auto& e : fifo) links_.report.residual(packet_of(e));
   });
 }
 

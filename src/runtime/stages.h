@@ -223,7 +223,11 @@ class ServerStage : public Stage {
       links_.report.fault_counter({Element::Kind::kServer, index_}).add(lost);
     }
   }
-  /// Sweeps module drops into the ledger and counts residents as residual.
+  /// Charges the drops its BESS modules counted (queue overflow, NF
+  /// verdicts, demux misses) to the ledger; due before the modules go,
+  /// at run end or when a plan swap tears them down.
+  void sweep_module_drops();
+  /// Sweeps module drops and counts residents as residual.
   void finish();
   void export_state(NfState& out) const {
     // Replicas of the same logical NF append their blocks to one snapshot;

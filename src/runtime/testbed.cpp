@@ -122,10 +122,12 @@ bool Testbed::swap_plan(const std::vector<chain::ChainSpec>& chains,
   for (const auto& server : servers_) server->export_state(exported_state_);
 
   // Flush in-flight packets, charged to the ledger (cause=recovery-flush)
-  // so conservation still holds.
+  // so conservation still holds, and charge the drops the old modules
+  // counted before build() destroys them.
   recovery_flush_drops_ += tor_.flush_tagged();
   for (auto& server : servers_) {
     recovery_flush_drops_ += server->flush(telemetry::DropCause::kRecovery);
+    server->sweep_module_drops();
   }
 
   // Atomic cutover: repoint the live plan and rebuild the rack. build()

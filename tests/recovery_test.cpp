@@ -93,7 +93,8 @@ struct ChaosRun {
 };
 
 ChaosRun run_chaos(const Scenario& s, const std::string& fault_spec,
-                   double duration_ms, std::uint64_t seed = 7) {
+                   double duration_ms, std::uint64_t seed = 7,
+                   const std::vector<double>& offered_gbps = {}) {
   std::string parse_error;
   auto events = FaultScheduler::parse(fault_spec, &parse_error);
   EXPECT_TRUE(events.has_value()) << parse_error;
@@ -106,7 +107,7 @@ ChaosRun run_chaos(const Scenario& s, const std::string& fault_spec,
   testbed.set_fault_scheduler(&faults);
   testbed.set_recovery_hook(&controller);
   ChaosRun out;
-  out.measurement = testbed.run(duration_ms);
+  out.measurement = testbed.run(duration_ms, offered_gbps);
   out.events = controller.events();
   out.final_placement = controller.current_placement();
   out.stats_json = testbed.stats_json(out.measurement);
@@ -239,6 +240,25 @@ TEST(Recovery, ServerDeathIsDetectedAndRecovered) {
     EXPECT_NE(sg.server, victim);
   }
   EXPECT_GT(run.measurement.delivered_packets, 0u);
+}
+
+TEST(Recovery, SwapChargesTheOldPlansModuleDrops) {
+  // Offered 3x the LP rates, the servers' BESS modules drop packets
+  // before server 1 dies at 6 ms. The swap destroys those modules, so the
+  // drops they counted must reach the ledger first.
+  auto s = canonical_scenario({3, 5}, 1.0);
+  std::vector<double> offered;
+  for (const auto& chain : s.placement.chains) {
+    offered.push_back(3 * chain.assigned_gbps);
+  }
+  const auto run = run_chaos(s, "server:1@6", 10.0, 42, offered);
+  ASSERT_EQ(run.plan_generation, 1);
+  expect_conserved(run.measurement);
+  // Chain 0's Limiter drops the excess; only the old plan's modules
+  // counted those verdicts.
+  EXPECT_GT(run.measurement.drops.cause_total(
+                0, telemetry::DropCause::kNfVerdict),
+            0u);
 }
 
 TEST(Recovery, SecondSmartNicTakesOverAfterNicFailure) {
