@@ -2,6 +2,8 @@
 // core allocation, the evaluation LP, and all placement strategies.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/chain/parser.h"
 #include "src/metacompiler/pisa_oracle.h"
 #include "src/placer/caching_oracle.h"
@@ -459,6 +461,76 @@ TEST(Strategies, FitToSwitchDemotesUntilOracleAccepts) {
   auto result = place(Strategy::kLemur, chains, fx.topo, fx.options, tight);
   EXPECT_TRUE(result.feasible) << result.infeasible_reason;
   EXPECT_LE(result.pisa_stages_used, 4);
+}
+
+/// Records the checks it forwards to the wrapped oracle. With `refuse_until`
+/// set it answers "does not fit" to the first that many, so fit_to_switch
+/// walks further down its demotion sequence.
+class RecordingOracle final : public SwitchOracle {
+ public:
+  explicit RecordingOracle(SwitchOracle& inner, int refuse_until = 0)
+      : inner_(inner), refuse_until_(refuse_until) {}
+  Check check(const std::vector<ChainSpec>& chains,
+              const std::vector<std::vector<int>>& pisa_nodes) override {
+    Check out = inner_.check(chains, pisa_nodes);
+    log << out.stages_required << (out.fits ? "+ " : " ");
+    if (++calls <= refuse_until_) out.fits = false;
+    return out;
+  }
+  int calls = 0;
+  std::ostringstream log;  ///< Stages per check, "+" where it fits.
+
+ private:
+  SwitchOracle& inner_;
+  int refuse_until_;
+};
+
+TEST(Placer, SwitchFitIsFirstFitNotBisection) {
+  // With the real compiler, whether a prefix of the demotion sequence fits
+  // is not monotone in the prefix length k. The linear scan stops at the
+  // first fit, k = 6; a bisection over k = 0..12 can land on k = 12 and
+  // demote twice as many NFs.
+  auto topo = topo::Topology::multi_server(5, 8);
+  topo.smartnics.push_back(topo::SmartNicSpec{});
+  const PlacerOptions options;
+  auto chains =
+      chains_with_delta({2, 4, 1, 5, 3, 4, 2, 2}, 0.3, topo, options);
+  metacompiler::CompilerOracle compiler(topo);
+  const std::vector<bool> movable(chains.size(), true);
+  const auto hw_patterns = [&] {
+    std::vector<Pattern> out;
+    for (const auto& spec : chains) {
+      out.push_back(hw_preferred_pattern(spec, topo, options));
+    }
+    return out;
+  };
+  const auto on_switch = [](const std::vector<Pattern>& patterns) {
+    int n = 0;
+    for (const auto& pattern : patterns) {
+      for (const auto& node : pattern) n += node.target == Target::kPisa;
+    }
+    return n;
+  };
+
+  auto patterns = hw_patterns();
+  RecordingOracle oracle(compiler);
+  EXPECT_EQ(fit_to_switch(patterns, movable, chains, topo, options, oracle),
+            12);
+  EXPECT_EQ(on_switch(hw_patterns()) - on_switch(patterns), 6);
+  EXPECT_EQ(oracle.calls, 7);
+
+  // The stages of every prefix k = 0..12 of the same demotion sequence.
+  auto walked = hw_patterns();
+  RecordingOracle refusing(compiler, 12);
+  fit_to_switch(walked, movable, chains, topo, options, refusing);
+  EXPECT_EQ(refusing.log.str(),
+            "13 13 13 13 13 13 12+ 13 12+ 13 14 14 11+ ");
+
+  const auto result =
+      place(Strategy::kLemur, chains, topo, options, compiler);
+  ASSERT_TRUE(result.feasible) << result.infeasible_reason;
+  EXPECT_EQ(result.pisa_stages_used, 12);
+  EXPECT_NEAR(result.marginal_gbps(), 58.59, 0.005);
 }
 
 TEST(Strategies, HwPreferredInfeasibleOnTinySwitch) {
