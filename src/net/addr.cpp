@@ -66,12 +66,6 @@ std::optional<MacAddr> MacAddr::parse(std::string_view text) {
   return mac;
 }
 
-MacAddr MacAddr::broadcast() {
-  MacAddr mac;
-  mac.bytes.fill(0xff);
-  return mac;
-}
-
 std::string Ipv4Addr::to_string() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value >> 24) & 0xff,

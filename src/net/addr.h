@@ -20,9 +20,6 @@ struct MacAddr {
 
   /// Parses "aa:bb:cc:dd:ee:ff"; returns nullopt on malformed input.
   static std::optional<MacAddr> parse(std::string_view text);
-
-  /// Broadcast address ff:ff:ff:ff:ff:ff.
-  static MacAddr broadcast();
 };
 
 /// IPv4 address stored in host byte order for arithmetic convenience;

@@ -1,16 +1,13 @@
 #include "src/net/packet_builder.h"
 
 namespace lemur::net {
+namespace {
 
-PacketBuilder& PacketBuilder::src_mac(MacAddr mac) {
-  src_mac_ = mac;
-  return *this;
-}
+// Locally administered unicast addresses.
+constexpr MacAddr kSrcMac{{0x02, 0, 0, 0, 0, 0x01}};
+constexpr MacAddr kDstMac{{0x02, 0, 0, 0, 0, 0x02}};
 
-PacketBuilder& PacketBuilder::dst_mac(MacAddr mac) {
-  dst_mac_ = mac;
-  return *this;
-}
+}  // namespace
 
 PacketBuilder& PacketBuilder::five_tuple(const FiveTuple& t) {
   tuple_ = t;
@@ -98,8 +95,8 @@ void PacketBuilder::build_into(Packet& pkt) const {
   BufWriter w(pkt.data);
 
   EthernetHeader eth;
-  eth.dst = dst_mac_;
-  eth.src = src_mac_;
+  eth.dst = kDstMac;
+  eth.src = kSrcMac;
   eth.ether_type = static_cast<std::uint16_t>(EtherType::kIpv4);
   eth.encode(w);
 

@@ -15,8 +15,6 @@ namespace lemur::net {
 /// payload so the final frame hits frame_size() when one is requested.
 class PacketBuilder {
  public:
-  PacketBuilder& src_mac(MacAddr mac);
-  PacketBuilder& dst_mac(MacAddr mac);
   PacketBuilder& five_tuple(const FiveTuple& t);
   PacketBuilder& src_ip(Ipv4Addr ip);
   PacketBuilder& dst_ip(Ipv4Addr ip);
@@ -41,8 +39,6 @@ class PacketBuilder {
   void build_into(Packet& pkt) const;
 
  private:
-  MacAddr src_mac_{{0x02, 0, 0, 0, 0, 0x01}};
-  MacAddr dst_mac_{{0x02, 0, 0, 0, 0, 0x02}};
   FiveTuple tuple_{Ipv4Addr{0x0a000001}, Ipv4Addr{0x0a000002}, 1000, 2000,
                    static_cast<std::uint8_t>(IpProto::kUdp)};
   std::uint8_t ttl_ = 64;

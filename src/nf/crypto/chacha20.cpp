@@ -1,6 +1,7 @@
 #include "src/nf/crypto/chacha20.h"
 
 #include <bit>
+#include <cstring>
 
 namespace lemur::nf::crypto {
 namespace {
@@ -79,6 +80,33 @@ void ChaCha20::apply(std::span<std::uint8_t> data) {
     for (std::size_t i = 0; i < n; ++i) data[off + i] ^= keystream[i];
     off += n;
   }
+}
+
+ChaCha20Keystream::ChaCha20Keystream(
+    std::span<const std::uint8_t, ChaCha20::kKeySize> key,
+    std::span<const std::uint8_t, ChaCha20::kNonceSize> nonce)
+    : cipher_(key, nonce) {}
+
+void ChaCha20Keystream::xor_into(std::span<std::uint8_t> data) {
+  const std::size_t n = data.size();
+  while (stream_.size() < n) {
+    const std::size_t at = stream_.size();
+    stream_.resize(at + 64);
+    cipher_.block(static_cast<std::uint32_t>(at / 64),
+                  std::span<std::uint8_t, 64>(stream_.data() + at, 64));
+  }
+  std::uint8_t* out = data.data();
+  const std::uint8_t* key = stream_.data();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t d;
+    std::uint64_t k;
+    std::memcpy(&d, out + i, 8);
+    std::memcpy(&k, key + i, 8);
+    d ^= k;
+    std::memcpy(out + i, &d, 8);
+  }
+  for (; i < n; ++i) out[i] ^= key[i];
 }
 
 }  // namespace lemur::nf::crypto

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace lemur::nf::crypto {
 
@@ -28,6 +29,24 @@ class ChaCha20 {
  private:
   std::array<std::uint32_t, 16> state_{};
   std::uint32_t counter_ = 0;
+};
+
+/// The keystream of one (key, nonce) from block counter 0, for callers
+/// that restart the counter on every message: xor_into(data) equals a
+/// fresh ChaCha20(key, nonce, 0).apply(data), but each block is computed
+/// once. The stream grows lazily, in whole 64-byte blocks, to the longest
+/// message seen.
+class ChaCha20Keystream {
+ public:
+  ChaCha20Keystream(std::span<const std::uint8_t, ChaCha20::kKeySize> key,
+                    std::span<const std::uint8_t, ChaCha20::kNonceSize> nonce);
+
+  /// XORs data with the stream's first data.size() bytes.
+  void xor_into(std::span<std::uint8_t> data);
+
+ private:
+  ChaCha20 cipher_;
+  std::vector<std::uint8_t> stream_;
 };
 
 }  // namespace lemur::nf::crypto

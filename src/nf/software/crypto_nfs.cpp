@@ -36,6 +36,14 @@ crypto::Aes128 make_cipher(const NfConfig& config) {
   return crypto::Aes128(key);
 }
 
+crypto::ChaCha20Keystream make_keystream(const NfConfig& config) {
+  std::array<std::uint8_t, crypto::ChaCha20::kKeySize> key;
+  std::array<std::uint8_t, crypto::ChaCha20::kNonceSize> nonce;
+  derive_key_material(config.string_or("key", "lemur-chacha-key"), key);
+  derive_key_material(config.string_or("nonce", "lemur-nonce"), nonce);
+  return {key, nonce};
+}
+
 }  // namespace
 
 EncryptNf::EncryptNf(NfConfig config, bool decrypt)
@@ -58,19 +66,15 @@ int EncryptNf::process(net::Packet& pkt) {
 }
 
 FastEncryptNf::FastEncryptNf(NfConfig config)
-    : SoftwareNf(NfType::kFastEncrypt, std::move(config)) {
-  derive_key_material(this->config().string_or("key", "lemur-chacha-key"),
-                      key_);
-  derive_key_material(this->config().string_or("nonce", "lemur-nonce"),
-                      nonce_);
-}
+    : SoftwareNf(NfType::kFastEncrypt, std::move(config)),
+      keystream_(make_keystream(this->config())) {}
 
 int FastEncryptNf::process(net::Packet& pkt) {
   auto payload = l4_payload(pkt);
   if (payload.empty()) return 0;
-  // Counter restarts per packet: XOR stream, so encrypt == decrypt.
-  crypto::ChaCha20 cipher(key_, nonce_, 0);
-  cipher.apply(payload);
+  // The counter restarts per packet, so every packet XORs the same
+  // stream (encrypt == decrypt).
+  keystream_.xor_into(payload);
   return 0;
 }
 

@@ -32,8 +32,7 @@ class FastEncryptNf : public SoftwareNf {
   int process(net::Packet& pkt) override;
 
  private:
-  std::array<std::uint8_t, 32> key_{};
-  std::array<std::uint8_t, 12> nonce_{};
+  crypto::ChaCha20Keystream keystream_;
 };
 
 /// Derives deterministic key material from a passphrase (FNV-1a expansion;

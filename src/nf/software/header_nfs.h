@@ -63,10 +63,6 @@ class AclNf : public SoftwareNf {
   explicit AclNf(NfConfig config);
   int process(net::Packet& pkt) override;
 
-  [[nodiscard]] const std::vector<AclRule>& acl_rules() const {
-    return rules_;
-  }
-
  private:
   std::vector<AclRule> rules_;
 };

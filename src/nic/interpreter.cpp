@@ -4,7 +4,6 @@
 
 #include "src/net/checksum.h"
 #include "src/net/flow.h"
-#include "src/nf/crypto/chacha20.h"
 
 namespace lemur::nic {
 namespace {
@@ -12,8 +11,8 @@ namespace {
 class Machine {
  public:
   Machine(const Program& program, net::Packet& pkt,
-          const HelperConfig& config)
-      : program_(program), pkt_(pkt), config_(config) {
+          nf::crypto::ChaCha20Keystream& chacha)
+      : program_(program), pkt_(pkt), chacha_(chacha) {
     regs_.fill(0);
     regs_[static_cast<std::size_t>(Reg::kR1)] = kPacketBase;
     regs_[static_cast<std::size_t>(Reg::kR2)] = pkt.data.size();
@@ -251,18 +250,17 @@ class Machine {
       case Helper::kChaCha20: {
         const std::uint64_t off = reg(Reg::kR1);
         const std::uint64_t len = reg(Reg::kR2);
-        if (off + len > pkt_.data.size()) {
+        // Compared without off + len, which a hostile r1 could wrap.
+        if (off > pkt_.data.size() || len > pkt_.data.size() - off) {
           error = "chacha20 range out of packet bounds";
           return false;
         }
-        nf::crypto::ChaCha20 cipher(config_.chacha_key,
-                                    config_.chacha_nonce, 0);
-        cipher.apply({pkt_.data.data() + off, len});
+        chacha_.xor_into({pkt_.data.data() + off, len});
         return true;
       }
       case Helper::kIpv4CsumFixup: {
         const std::uint64_t off = reg(Reg::kR1);
-        if (off + 20 > pkt_.data.size()) {
+        if (pkt_.data.size() < 20 || off > pkt_.data.size() - 20) {
           error = "csum fixup offset out of bounds";
           return false;
         }
@@ -319,7 +317,7 @@ class Machine {
 
   const Program& program_;
   net::Packet& pkt_;
-  const HelperConfig& config_;
+  nf::crypto::ChaCha20Keystream& chacha_;
   std::array<std::uint64_t, kNumRegs> regs_;
   std::array<std::uint8_t, kStackBytes> stack_{};
 };
@@ -327,13 +325,20 @@ class Machine {
 }  // namespace
 
 ExecResult execute(const Program& program, net::Packet& pkt,
-                   const HelperConfig& config) {
-  Machine machine(program, pkt, config);
+                   nf::crypto::ChaCha20Keystream& chacha) {
+  Machine machine(program, pkt, chacha);
   ExecResult result = machine.run();
   // The program may have rewritten arbitrary bytes (stores, helpers,
   // adjust_head) behind the parse cache's back.
   pkt.invalidate_layers();
   return result;
+}
+
+ExecResult execute(const Program& program, net::Packet& pkt,
+                   const HelperConfig& config) {
+  nf::crypto::ChaCha20Keystream chacha(config.chacha_key,
+                                       config.chacha_nonce);
+  return execute(program, pkt, chacha);
 }
 
 }  // namespace lemur::nic

@@ -7,6 +7,7 @@
 #include <array>
 
 #include "src/net/packet.h"
+#include "src/nf/crypto/chacha20.h"
 #include "src/nic/ebpf_isa.h"
 
 namespace lemur::nic {
@@ -23,9 +24,15 @@ struct ExecResult {
   std::string error;  ///< Set when action == kAborted.
 };
 
-/// Runs the program against the packet (mutating it in place).
-/// The program should have passed verify(); running an unverified program
-/// is safe (runtime checks still apply) but unsupported.
+/// Runs the program against the packet (mutating it in place); the
+/// kChaCha20 helper XORs `chacha`, the device's keystream, which a device
+/// keeps across packets. The program should have passed verify(); running
+/// an unverified program is safe (runtime checks still apply) but
+/// unsupported.
+ExecResult execute(const Program& program, net::Packet& pkt,
+                   nf::crypto::ChaCha20Keystream& chacha);
+
+/// The same for one run, keyed from `config`.
 ExecResult execute(const Program& program, net::Packet& pkt,
                    const HelperConfig& config);
 

@@ -6,7 +6,7 @@ VerifyResult SmartNic::load(Program program, HelperConfig config) {
   VerifyResult result = verify(program);
   if (result.ok) {
     program_ = std::move(program);
-    config_ = config;
+    chacha_.emplace(config.chacha_key, config.chacha_nonce);
   }
   return result;
 }
@@ -19,9 +19,8 @@ SmartNic::ProcessResult SmartNic::process(net::Packet& pkt,
     engine_cycles_ += 50;  // Pass-through datapath cost.
     return out;
   }
-  ExecResult exec = execute(*program_, pkt, config_);
+  ExecResult exec = execute(*program_, pkt, *chacha_);
   out.action = exec.action;
-  ++action_counts_[static_cast<std::size_t>(exec.action)];
   out.instructions = exec.instructions_executed;
   // Charge either the profiled NF cost (placer currency) or, absent a
   // profile, the executed instruction count.

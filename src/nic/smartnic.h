@@ -9,7 +9,6 @@
 // (and the Figure 3b crossovers) reproduce.
 #pragma once
 
-#include <array>
 #include <optional>
 
 #include "src/net/batch.h"
@@ -49,20 +48,14 @@ class SmartNic {
   [[nodiscard]] std::uint64_t packets() const { return packets_; }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
 
-  /// How many packets returned each XDP verdict (kAborted/kDrop/kPass/kTx)
-  /// — distinguishes NF-decided drops from verifier-style aborts.
-  [[nodiscard]] std::uint64_t action_count(XdpAction action) const {
-    return action_counts_[static_cast<std::size_t>(action)];
-  }
-
  private:
   topo::SmartNicSpec spec_;
   std::optional<Program> program_;
-  HelperConfig config_;
+  /// The loaded config's ChaCha20 keystream, kept across packets.
+  std::optional<nf::crypto::ChaCha20Keystream> chacha_;
   std::uint64_t engine_cycles_ = 0;
   std::uint64_t packets_ = 0;
   std::uint64_t drops_ = 0;
-  std::array<std::uint64_t, 4> action_counts_{};
 };
 
 }  // namespace lemur::nic

@@ -4,12 +4,6 @@
 
 namespace lemur::pisa {
 
-int HeaderDef::total_bits() const {
-  int bits = 0;
-  for (const auto& [name, width] : fields) bits += width;
-  return bits;
-}
-
 bool ParserGraph::has_state(const std::string& s) const {
   return std::find(states.begin(), states.end(), s) != states.end();
 }

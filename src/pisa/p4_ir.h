@@ -29,8 +29,6 @@ namespace lemur::pisa {
 struct HeaderDef {
   std::string name;
   std::vector<std::pair<std::string, int>> fields;  ///< (field, bit width).
-
-  [[nodiscard]] int total_bits() const;
 };
 
 /// A parser graph: states are header names, edges are select transitions.

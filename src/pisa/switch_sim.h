@@ -127,9 +127,6 @@ class PisaSwitch {
   CompileResult load();
 
   [[nodiscard]] bool loaded() const { return loaded_; }
-  [[nodiscard]] const CompileResult& compile_result() const {
-    return compile_result_;
-  }
   [[nodiscard]] const P4Program& program() const { return program_; }
 
   /// Installs an entry into the named table.

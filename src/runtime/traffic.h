@@ -10,6 +10,7 @@
 #pragma once
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include "src/chain/canonical.h"
@@ -35,6 +36,11 @@ class ChainTrafficModel {
   /// identical traffic.
   void make_packet_into(std::uint64_t now_ns, net::Packet& pkt);
 
+  /// Builds the next pkts.size() packets into `pkts`, in order: the same
+  /// packets and RNG draws as that many make_packet_into calls, with the
+  /// payloads filled together in interleaved lanes.
+  void make_packets_into(std::uint64_t now_ns, std::span<net::Packet> pkts);
+
   [[nodiscard]] std::size_t frame_bytes() const { return frame_bytes_; }
 
  private:
@@ -46,19 +52,30 @@ class ChainTrafficModel {
     std::optional<std::uint16_t> vlan;
   };
 
+  /// Where one packet's payload goes and the xorshift state it starts
+  /// from.
+  struct PayloadLane {
+    std::uint8_t* dst = nullptr;
+    std::uint64_t state = 0;
+  };
+
   const PathTemplate& sample_path();
+  /// Builds the next packet's headers (VLAN and DSCP included) around a
+  /// zeroed payload; the payload itself is left to the lane it returns.
+  PayloadLane make_headers_into(std::uint64_t now_ns, net::Packet& pkt);
 
   std::uint32_t aggregate_id_;
   std::size_t frame_bytes_;
+  std::size_t payload_bytes_;
   FlowMode mode_;
   std::vector<PathTemplate> paths_;
   std::vector<net::FiveTuple> long_lived_flows_;
   std::mt19937_64 rng_;
   std::uint64_t packet_counter_ = 0;
   /// Reused across packets so per-packet construction allocates nothing
-  /// once the scratch buffers reach steady-state capacity.
+  /// once the lanes reach steady-state capacity.
   net::PacketBuilder builder_;
-  std::vector<std::uint8_t> payload_scratch_;
+  std::vector<PayloadLane> lanes_;
 };
 
 /// A rate-shaped PacketSource: supplies chain traffic at `gbps` of wire

@@ -3,6 +3,7 @@
 // cost model.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <utility>
 
 #include "src/bess/queue.h"
@@ -192,6 +193,39 @@ TEST(ChaCha20, ApplyIsInvolution) {
   EXPECT_EQ(data, original);
 }
 
+/// 500 lengths in 0..9216 B (a jumbo frame), in random order, so a
+/// keystream both grows and is reused.
+std::vector<std::size_t> random_lengths() {
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<std::size_t> len(0, 9216);
+  std::vector<std::size_t> out(500);
+  for (auto& n : out) n = len(rng);
+  return out;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(ChaCha20Keystream, MatchesAFreshCipherPerMessage) {
+  std::array<std::uint8_t, 32> key{};
+  std::array<std::uint8_t, 12> nonce{};
+  derive_key_material("key", key);
+  derive_key_material("nonce", nonce);
+  crypto::ChaCha20Keystream stream(key, nonce);
+  std::uint64_t seed = 0;
+  for (const std::size_t n : random_lengths()) {
+    auto data = random_bytes(n, ++seed);
+    auto expected = data;
+    crypto::ChaCha20(key, nonce, 0).apply(expected);
+    stream.xor_into(data);
+    ASSERT_EQ(data, expected) << "length " << n;
+  }
+}
+
 // --- Crypto NFs -------------------------------------------------------------
 
 net::Packet payload_packet(std::string_view text, std::size_t frame = 0) {
@@ -231,6 +265,25 @@ TEST(FastEncryptNf, RoundTripsAndDiffersFromAes) {
   FastEncryptNf fast2(NfConfig{});
   fast2.process(pkt);  // XOR stream: second pass decrypts.
   EXPECT_EQ(pkt.data, original);
+}
+
+TEST(FastEncryptNf, MatchesAFreshCipherPerPacket) {
+  std::array<std::uint8_t, 32> key{};
+  std::array<std::uint8_t, 12> nonce{};
+  derive_key_material("lemur-chacha-key", key);
+  derive_key_material("lemur-nonce", nonce);
+  FastEncryptNf fast(NfConfig{});
+  std::uint64_t seed = 0;
+  for (const std::size_t n : random_lengths()) {
+    const auto payload = random_bytes(n, ++seed);
+    auto pkt = PacketBuilder().payload(payload).build();
+    auto expected = payload;
+    crypto::ChaCha20(key, nonce, 0).apply(expected);
+    EXPECT_EQ(fast.process(pkt), 0);
+    const auto got = l4_payload(pkt);
+    ASSERT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), expected)
+        << "length " << n;
+  }
 }
 
 // --- Header NFs -------------------------------------------------------------

@@ -3,6 +3,8 @@
 // calls, the device model, and the generated XDP NF programs.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "src/net/packet_builder.h"
 #include "src/nf/ebpf/ebpf_nfs.h"
 #include "src/nf/software/crypto_nfs.h"
@@ -252,6 +254,22 @@ TEST(Interpreter, AdjustHeadGrowAndShrink) {
   EXPECT_EQ(pkt.data, original);  // Grow then shrink restores the frame.
 }
 
+TEST(Interpreter, HelperRangesThatWrapAbort) {
+  // r1 = 2^64 - 1: offset + length wraps to a small in-packet value, yet
+  // the range starts outside the packet.
+  for (const Helper helper : {Helper::kChaCha20, Helper::kIpv4CsumFixup}) {
+    Assembler a;
+    a.mov_imm(Reg::kR1, -1);
+    a.mov_imm(Reg::kR2, 2);
+    a.call(helper);
+    a.mov_imm(Reg::kR0, static_cast<std::int64_t>(XdpAction::kTx));
+    a.exit();
+    auto pkt = PacketBuilder().frame_size(100).build();
+    EXPECT_EQ(execute(*a.finish(), pkt, {}).action, XdpAction::kAborted)
+        << "helper " << static_cast<int>(helper);
+  }
+}
+
 // --- Device model ----------------------------------------------------------------
 
 TEST(SmartNicDevice, LoadRejectsBadProgram) {
@@ -349,6 +367,33 @@ TEST(EbpfNf, FastEncryptHandlesNshShim) {
   EXPECT_EQ(r.action, XdpAction::kTx);
   net::pop_nsh(pkt);
   EXPECT_EQ(pkt.data, reference.data);
+}
+
+TEST(EbpfNf, FastEncryptOnOneSmartNicMatchesAFreshCipherPerPacket) {
+  // One device runs the program over 500 payloads of 0..9216 B in random
+  // order, half of them under an NSH shim: its keystream grows and is
+  // reused, and every packet must still see counter 0 onwards.
+  HelperConfig helpers;
+  nf::derive_key_material("lemur-chacha-key", helpers.chacha_key);
+  nf::derive_key_material("lemur-nonce", helpers.chacha_nonce);
+  SmartNic nic(topo::SmartNicSpec{});
+  ASSERT_TRUE(nic.load(nf::ebpf::gen_fast_encrypt(), helpers).ok);
+  std::mt19937_64 rng(23);
+  std::uniform_int_distribution<std::size_t> length(0, 9216);
+  for (int i = 0; i < 500; ++i) {
+    std::vector<std::uint8_t> payload(length(rng));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
+    auto pkt = PacketBuilder().payload(payload).build();
+    auto expected = pkt;
+    nf::crypto::ChaCha20(helpers.chacha_key, helpers.chacha_nonce, 0)
+        .apply(nf::l4_payload(expected));
+    const bool shim = i % 2 == 1;
+    if (shim) net::push_nsh(pkt, 5, 100);
+    ASSERT_EQ(nic.process(pkt).action, XdpAction::kTx) << "packet " << i;
+    if (shim) net::pop_nsh(pkt);
+    ASSERT_EQ(pkt.data, expected.data)
+        << "packet " << i << " payload " << payload.size();
+  }
 }
 
 TEST(EbpfNf, TunnelPushesVlanIdenticalToSoftware) {

@@ -2,6 +2,8 @@
 // onto the simulated rack, and measured-vs-predicted throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/chain/parser.h"
 #include "src/metacompiler/pisa_oracle.h"
 #include "src/nf/software/crypto_nfs.h"
@@ -97,6 +99,81 @@ TEST(Traffic, RateShapedSourceHitsTarget) {
   }
   const double gbps = static_cast<double>(bytes) * 8.0 / 10e6;  // 10 ms.
   EXPECT_NEAR(gbps, 12.0, 0.5);
+}
+
+/// The payload of a model's n-th packet, n from 1: the low byte of each
+/// xorshift64 (13, 7, 17) step from n * 0x9e3779b97f4a7c15 + 1.
+std::vector<std::uint8_t> reference_payload(std::uint64_t n,
+                                            std::size_t len) {
+  std::vector<std::uint8_t> out(len);
+  std::uint64_t state = n * 0x9e3779b97f4a7c15ull + 1;
+  for (auto& b : out) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    b = static_cast<std::uint8_t>(state);
+  }
+  return out;
+}
+
+TEST(Traffic, BatchedPullsMatchSuccessivePackets) {
+  // The VLAN and DSCP branches move the payload and patch the IP header
+  // after the build; the frame sizes straddle the 200 B payload rule.
+  const auto spec = make_spec(
+      "ACL -> [{'vlan_tag': 7, 'frac': 0.3, NAT}, "
+      "{'dscp': 10, 'frac': 0.3, LB}, "
+      "{'dst_port': 80, 'frac': 0.2, Monitor}] -> IPv4Fwd",
+      0.1);
+  for (const auto mode : {FlowMode::kLongLived, FlowMode::kShortLived}) {
+    for (const std::size_t frame : {64, 106, 128, 200, 201, 1500, 9000}) {
+      for (const bool pooled : {false, true}) {
+        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                     " frame " + std::to_string(frame) +
+                     (pooled ? " pooled" : ""));
+        RateShapedSource source(ChainTrafficModel(spec, 11, mode, frame),
+                                100.0);
+        ChainTrafficModel reference(spec, 11, mode, frame);
+        const std::size_t payload_len = frame > 200 ? frame - 64 : 64;
+        net::PacketPool pool;
+        std::vector<net::Packet> out;
+        std::uint64_t n = 0;
+        std::uint64_t now = 0;
+        // Pulls of 1..97 packets, then the packet after the last batch.
+        for (std::size_t want = 1; want <= 98; ++want) {
+          const std::size_t pull = want <= 97 ? want : 1;
+          now += 1'000'000;
+          ASSERT_EQ(source.emit_until(now, out, pooled ? &pool : nullptr,
+                                      pull),
+                    pull);
+          for (auto& pkt : out) {
+            ++n;
+            net::Packet expected;
+            reference.make_packet_into(now, expected);
+            ASSERT_EQ(pkt.data, expected.data) << "packet " << n;
+            ASSERT_EQ(pkt.arrival_ns, expected.arrival_ns);
+            ASSERT_EQ(pkt.aggregate_id, expected.aggregate_id);
+
+            const auto* layers = expected.layers();
+            ASSERT_NE(layers, nullptr);
+            const std::size_t vlan = layers->vlan ? 4 : 0;
+            ASSERT_EQ(expected.data.size(),
+                      std::max<std::size_t>(frame, 106) + vlan);
+            const auto payload = reference_payload(n, payload_len);
+            const auto at = expected.data.begin() +
+                            static_cast<std::ptrdiff_t>(
+                                layers->payload_offset);
+            ASSERT_TRUE(std::equal(payload.begin(), payload.end(), at))
+                << "packet " << n;
+            ASSERT_TRUE(std::all_of(
+                at + static_cast<std::ptrdiff_t>(payload_len),
+                expected.data.end(), [](std::uint8_t b) { return b == 0; }));
+            if (pooled) pool.release(std::move(pkt));
+          }
+          out.clear();
+        }
+      }
+    }
+  }
 }
 
 // --- End-to-end deployments ----------------------------------------------------
