@@ -34,7 +34,7 @@ BENCHMARK(BM_SoftwareNf)->DenseRange(0, nf::kNumNfTypes - 1);
 void BM_EbpfFastEncrypt(benchmark::State& state) {
   auto program = nf::ebpf::gen_fast_encrypt();
   if (!nic::verify(program).ok) state.SkipWithError("program rejected");
-  // A device keeps its keystream across packets (see SmartNic).
+  // The NIC stage keeps each NF's keystream across packets.
   nic::HelperConfig helpers;
   nf::crypto::ChaCha20Keystream chacha(helpers.chacha_key,
                                        helpers.chacha_nonce);

@@ -36,6 +36,8 @@ crypto::Aes128 make_cipher(const NfConfig& config) {
   return crypto::Aes128(key);
 }
 
+}  // namespace
+
 crypto::ChaCha20Keystream make_keystream(const NfConfig& config) {
   std::array<std::uint8_t, crypto::ChaCha20::kKeySize> key;
   std::array<std::uint8_t, crypto::ChaCha20::kNonceSize> nonce;
@@ -43,8 +45,6 @@ crypto::ChaCha20Keystream make_keystream(const NfConfig& config) {
   derive_key_material(config.string_or("nonce", "lemur-nonce"), nonce);
   return {key, nonce};
 }
-
-}  // namespace
 
 EncryptNf::EncryptNf(NfConfig config, bool decrypt)
     : SoftwareNf(decrypt ? NfType::kDecrypt : NfType::kEncrypt,

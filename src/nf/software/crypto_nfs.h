@@ -40,6 +40,11 @@ class FastEncryptNf : public SoftwareNf {
 void derive_key_material(const std::string& passphrase,
                          std::span<std::uint8_t> out);
 
+/// FastEncrypt's keystream, keyed from the NF's "key" and "nonce"
+/// config. The software NF and a SmartNIC running the NF's program each
+/// hold one, so both platforms encrypt with the same stream.
+crypto::ChaCha20Keystream make_keystream(const NfConfig& config);
+
 /// The L4 payload span of a packet (empty if no L4 layer parsed).
 std::span<std::uint8_t> l4_payload(net::Packet& pkt);
 

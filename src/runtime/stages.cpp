@@ -115,18 +115,10 @@ std::uint64_t TorStage::flush_tagged() {
 
 // --- SmartNIC -------------------------------------------------------------
 
-std::string NicStage::add(const metacompiler::NicArtifact& artifact,
-                          const topo::SmartNicSpec& spec,
-                          const topo::ServerSpec& server,
-                          const std::vector<chain::ChainSpec>& chains) {
-  if (!device_) {
-    device_ = std::make_unique<nic::SmartNic>(spec);
-    nic::HelperConfig helpers;
-    nf::derive_key_material("lemur-chacha-key", helpers.chacha_key);
-    nf::derive_key_material("lemur-nonce", helpers.chacha_nonce);
-    const auto verdict = device_->load(artifact.program, helpers);
-    if (!verdict.ok) return "SmartNIC program rejected: " + verdict.error;
-  }
+void NicStage::add(const metacompiler::NicArtifact& artifact,
+                   const topo::SmartNicSpec& spec,
+                   const topo::ServerSpec& server,
+                   const std::vector<chain::ChainSpec>& chains) {
   // Engine occupancy per packet: the NF's profiled cycles at the device's
   // speed-up over a core of the attached server.
   const auto& node = chains[static_cast<std::size_t>(artifact.chain)]
@@ -134,10 +126,10 @@ std::string NicStage::add(const metacompiler::NicArtifact& artifact,
   const auto cost_cycles = nf::effective_cycle_cost(node.type, node.config);
   const auto cost_ns = static_cast<std::uint64_t>(
       static_cast<double>(cost_cycles) /
-      (server.clock_ghz * device_->spec().speedup_vs_core));
+      (server.clock_ghz * spec.speedup_vs_core));
   by_nsh_.emplace(std::pair{artifact.spi_in, artifact.si_in}, nfs_.size());
-  nfs_.push_back({&artifact, cost_cycles, cost_ns});
-  return {};
+  nfs_.push_back(
+      {&artifact, nf::make_keystream(node.config), cost_cycles, cost_ns});
 }
 
 void NicStage::accept(net::Packet&& pkt, std::uint64_t ready_ns) {
@@ -172,8 +164,8 @@ void NicStage::accept(net::Packet&& pkt, std::uint64_t ready_ns) {
   report.trace_hop(pkt, net::HopPlatform::kSmartNic,
                    static_cast<std::uint16_t>(artifact.smartnic),
                    engine_free_ns_);
-  device_->process(pkt, nf->cost_cycles);
-  if (pkt.drop) {
+  const auto action = nic::execute(artifact.program, pkt, nf->chacha).action;
+  if (action == nic::XdpAction::kDrop || action == nic::XdpAction::kAborted) {
     report.drop(std::move(pkt), net::HopPlatform::kSmartNic,
                 telemetry::DropCause::kNfVerdict);
     return;

@@ -13,7 +13,7 @@
 #include "src/bess/queue.h"
 #include "src/metacompiler/metacompiler.h"
 #include "src/nf/software/software_nf.h"
-#include "src/nic/smartnic.h"
+#include "src/nic/interpreter.h"
 #include "src/openflow/of_switch.h"
 #include "src/pisa/switch_sim.h"
 #include "src/runtime/report.h"
@@ -130,17 +130,17 @@ class TorStage : public Stage {
   telemetry::Gauge* backlog_ = nullptr;
 };
 
-/// An in-line SmartNIC in front of a server: runs the NF whose segment
-/// the packet's NSH header names, and passes every other packet to the
-/// server's wire.
+/// An in-line SmartNIC in front of a server: runs the program of the NF
+/// whose segment the packet's NSH header names on one serialized engine,
+/// and passes every other packet to the server's wire.
 class NicStage : public Stage {
  public:
   NicStage(StageLinks links, Stage& wire) : links_(links), wire_(wire) {}
-  /// Adds a NIC-placed NF. The device loads the first NF's program only.
-  std::string add(const metacompiler::NicArtifact& artifact,
-                  const topo::SmartNicSpec& spec,
-                  const topo::ServerSpec& server,
-                  const std::vector<chain::ChainSpec>& chains);
+  /// Adds a NIC-placed NF with its own program, which the deployment
+  /// verifier has checked (rule nic.program-verifies).
+  void add(const metacompiler::NicArtifact& artifact,
+           const topo::SmartNicSpec& spec, const topo::ServerSpec& server,
+           const std::vector<chain::ChainSpec>& chains);
   void accept(net::Packet&& pkt, std::uint64_t ready_ns) override;
   void sample_nfs(std::vector<NfSample>& out) const {
     for (const auto& nf : nfs_) {
@@ -151,9 +151,11 @@ class NicStage : public Stage {
   }
 
  private:
-  /// A NIC-placed NF with its per-packet engine cost.
+  /// A NIC-placed NF: its program (in the artifact), the keystream its
+  /// kChaCha20 helper XORs, and its per-packet engine cost.
   struct Nf {
     const metacompiler::NicArtifact* artifact;
+    nf::crypto::ChaCha20Keystream chacha;
     std::uint64_t cost_cycles;
     std::uint64_t cost_ns;
     std::uint64_t packets = 0;  ///< Packets the engine ran through this NF.
@@ -161,7 +163,6 @@ class NicStage : public Stage {
 
   StageLinks links_;
   Stage& wire_;
-  std::unique_ptr<nic::SmartNic> device_;
   std::vector<Nf> nfs_;
   /// NF by (spi_in, si_in); the first NF added wins.
   std::map<std::pair<std::uint32_t, std::uint8_t>, std::size_t> by_nsh_;

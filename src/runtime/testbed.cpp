@@ -77,9 +77,8 @@ void Testbed::build() {
     const auto& nic =
         topo_->smartnics[static_cast<std::size_t>(artifact.smartnic)];
     const auto server = static_cast<std::size_t>(nic.attached_server);
-    error_ = servers_[server]->nic().add(artifact, nic, topo_->servers[server],
-                                         *chains_);
-    if (!error_.empty()) return;
+    servers_[server]->nic().add(artifact, nic, topo_->servers[server],
+                                *chains_);
   }
   openflow_ = std::make_unique<OpenFlowStage>(links);
   error_ = openflow_->load(artifacts_->of_rules, topo_->openflow);

@@ -73,8 +73,6 @@ struct SmartNicSpec {
   /// Effective speedup over one server core for NFs it can run (the
   /// paper measured >10x for ChaCha on the Agilio CX).
   double speedup_vs_core = 10.0;
-  int max_instructions = 4196;  ///< eBPF verifier program-size limit.
-  int stack_bytes = 512;        ///< eBPF stack limit.
   /// Marked failed after a fault; excluded from placement targets.
   bool failed = false;
 };

@@ -82,6 +82,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "SPI/SI fit the 12-bit OpenFlow VLAN vid without losing bits"},
       {"handoff.vid-mismatch", Severity::kError,
        "stored VLAN vids equal the lossless packing of their SPI/SI"},
+      {"nic.program-verifies", Severity::kError,
+       "every NIC artifact's eBPF program passes the SmartNIC verifier "
+       "(size, forward-only jumps, stack bounds, known helpers, exit)"},
       {"p4.compile-failed", Severity::kError,
        "the unified P4 program compiles against the ToR resource model"},
       {"p4.dependency-divergence", Severity::kError,

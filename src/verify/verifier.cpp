@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "src/nic/verifier.h"
 #include "src/openflow/of_switch.h"
 #include "src/pisa/compiler.h"
 
@@ -894,6 +895,19 @@ void check_failed_elements(const placer::PlacementResult& placement,
   }
 }
 
+/// The Testbed runs every NIC artifact's program as loaded, so each must
+/// pass the eBPF verifier's loading restrictions first.
+void check_nic_programs(const CompiledArtifacts& artifacts, Report& report) {
+  for (const auto& nic : artifacts.nic_programs) {
+    const auto verdict = nic::verify(nic.program);
+    if (verdict.ok) continue;
+    report.add(Severity::kError, "nic.program-verifies",
+               "chain " + std::to_string(nic.chain) + " / nic artifact node " +
+                   std::to_string(nic.node),
+               "eBPF program rejected: " + verdict.error);
+  }
+}
+
 }  // namespace
 
 Report verify_artifacts(const std::vector<chain::ChainSpec>& chains,
@@ -912,6 +926,7 @@ Report verify_artifacts(const std::vector<chain::ChainSpec>& chains,
   }
   check_nsh_continuity(chains, artifacts, report);
   check_handoffs(artifacts, topo, report);
+  check_nic_programs(artifacts, report);
   check_p4(artifacts, topo, report);
   check_bess(chains, placement, artifacts, topo, report);
   check_slo(chains, placement, report);

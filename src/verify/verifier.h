@@ -13,6 +13,7 @@
 // Rule families (see verify::rule_catalogue() for the full list):
 //   nsh.*      NSH routing continuity over the segment graph.
 //   handoff.*  Cross-artifact SPI/SI and VLAN-vid hand-off consistency.
+//   nic.*      SmartNIC programs pass the eBPF verifier.
 //   p4.*       Independent re-audit of the platform compiler's staging.
 //   bess.*     Server plan sanity (pipeline wiring, core budgets).
 //   slo.*      Lint of the placement against the chains' SLOs.

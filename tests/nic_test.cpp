@@ -1,6 +1,7 @@
 // Tests for the eBPF SmartNIC substrate: assembler, verifier restrictions
 // (the paper's appendix A.3 constraints), interpreter semantics, helper
-// calls, the device model, and the generated XDP NF programs.
+// calls, and the generated XDP NF programs. The rack's NIC stage, which
+// runs these programs, is tested in placement_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -12,7 +13,6 @@
 #include "src/nf/software/stateful_nfs.h"
 #include "src/nic/assembler.h"
 #include "src/nic/interpreter.h"
-#include "src/nic/smartnic.h"
 #include "src/nic/verifier.h"
 
 namespace lemur::nic {
@@ -270,48 +270,6 @@ TEST(Interpreter, HelperRangesThatWrapAbort) {
   }
 }
 
-// --- Device model ----------------------------------------------------------------
-
-TEST(SmartNicDevice, LoadRejectsBadProgram) {
-  SmartNic nic(topo::SmartNicSpec{});
-  Program bad;
-  bad.push_back({Op::kMovImm, Reg::kR10, Reg::kR0, 0, 0});
-  bad.push_back({Op::kExit});
-  EXPECT_FALSE(nic.load(std::move(bad)).ok);
-  EXPECT_FALSE(nic.loaded());
-}
-
-TEST(SmartNicDevice, PassThroughWithoutProgram) {
-  SmartNic nic(topo::SmartNicSpec{});
-  auto pkt = PacketBuilder().build();
-  auto r = nic.process(pkt);
-  EXPECT_EQ(r.action, XdpAction::kPass);
-  EXPECT_FALSE(pkt.drop);
-}
-
-TEST(SmartNicDevice, DropActionMarksPacket) {
-  SmartNic nic(topo::SmartNicSpec{});
-  Assembler a;
-  a.mov_imm(Reg::kR0, static_cast<std::int64_t>(XdpAction::kDrop));
-  a.exit();
-  ASSERT_TRUE(nic.load(*a.finish()).ok);
-  auto pkt = PacketBuilder().build();
-  nic.process(pkt);
-  EXPECT_TRUE(pkt.drop);
-  EXPECT_EQ(nic.drops(), 1u);
-}
-
-TEST(SmartNicDevice, BusyTimeUsesSpeedup) {
-  topo::SmartNicSpec spec;
-  spec.speedup_vs_core = 10.0;
-  SmartNic nic(spec);
-  ASSERT_TRUE(nic.load(pass_program()).ok);
-  auto pkt = PacketBuilder().build();
-  nic.process(pkt, /*server_cycle_cost=*/17000);
-  // 17000 cycles at 10x 1.7 GHz = 1000 ns.
-  EXPECT_NEAR(nic.busy_ns(1.7), 1000.0, 1.0);
-}
-
 // --- Generated NF programs --------------------------------------------------------
 
 TEST(EbpfNf, AllGeneratedProgramsVerify) {
@@ -369,15 +327,16 @@ TEST(EbpfNf, FastEncryptHandlesNshShim) {
   EXPECT_EQ(pkt.data, reference.data);
 }
 
-TEST(EbpfNf, FastEncryptOnOneSmartNicMatchesAFreshCipherPerPacket) {
-  // One device runs the program over 500 payloads of 0..9216 B in random
-  // order, half of them under an NSH shim: its keystream grows and is
-  // reused, and every packet must still see counter 0 onwards.
-  HelperConfig helpers;
-  nf::derive_key_material("lemur-chacha-key", helpers.chacha_key);
-  nf::derive_key_material("lemur-nonce", helpers.chacha_nonce);
-  SmartNic nic(topo::SmartNicSpec{});
-  ASSERT_TRUE(nic.load(nf::ebpf::gen_fast_encrypt(), helpers).ok);
+TEST(EbpfNf, FastEncryptWithOneKeptKeystreamMatchesAFreshCipherPerPacket) {
+  // One keystream, kept across 500 payloads of 0..9216 B in random order
+  // as the NIC stage keeps one per NF, half of them under an NSH shim: it
+  // grows and is reused, and every packet must still see counter 0 onwards.
+  std::array<std::uint8_t, nf::crypto::ChaCha20::kKeySize> key;
+  std::array<std::uint8_t, nf::crypto::ChaCha20::kNonceSize> nonce;
+  nf::derive_key_material("lemur-chacha-key", key);
+  nf::derive_key_material("lemur-nonce", nonce);
+  auto chacha = nf::make_keystream({});
+  const auto program = nf::ebpf::gen_fast_encrypt();
   std::mt19937_64 rng(23);
   std::uniform_int_distribution<std::size_t> length(0, 9216);
   for (int i = 0; i < 500; ++i) {
@@ -385,11 +344,11 @@ TEST(EbpfNf, FastEncryptOnOneSmartNicMatchesAFreshCipherPerPacket) {
     for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
     auto pkt = PacketBuilder().payload(payload).build();
     auto expected = pkt;
-    nf::crypto::ChaCha20(helpers.chacha_key, helpers.chacha_nonce, 0)
-        .apply(nf::l4_payload(expected));
+    nf::crypto::ChaCha20(key, nonce, 0).apply(nf::l4_payload(expected));
     const bool shim = i % 2 == 1;
     if (shim) net::push_nsh(pkt, 5, 100);
-    ASSERT_EQ(nic.process(pkt).action, XdpAction::kTx) << "packet " << i;
+    ASSERT_EQ(execute(program, pkt, chacha).action, XdpAction::kTx)
+        << "packet " << i;
     if (shim) net::pop_nsh(pkt);
     ASSERT_EQ(pkt.data, expected.data)
         << "packet " << i << " payload " << payload.size();

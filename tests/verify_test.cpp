@@ -251,6 +251,31 @@ TEST(VerifierHandoff, CheckedPackingRejectsOverflow) {
   EXPECT_EQ(openflow::checked_pack_spi_si(0, 64), std::nullopt);
 }
 
+// --- SmartNIC programs --------------------------------------------------------
+
+/// A program the eBPF verifier rejects: it writes the frame pointer.
+nic::Program frame_pointer_write() {
+  return {{nic::Op::kMovImm, nic::Reg::kR10, nic::Reg::kR0, 0, 0},
+          {nic::Op::kExit}};
+}
+
+TEST(VerifierNic, ProgramThatFailsTheEbpfVerifier) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  d.artifacts.nic_programs.back().program = frame_pointer_write();
+  const auto report = d.verify();
+  ASSERT_TRUE(report.fired("nic.program-verifies")) << report.to_string();
+  EXPECT_EQ(report.count(Severity::kError), 1) << report.to_string();
+  EXPECT_NE(report.find("nic.program-verifies")->locus.find("nic artifact"),
+            std::string::npos);
+}
+
+TEST(VerifierNic, GeneratedProgramsPass) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  EXPECT_FALSE(d.verify().fired("nic.program-verifies"));
+}
+
 // --- P4 re-audit --------------------------------------------------------------
 
 TEST(VerifierP4, UncompiledProgramIsRejected) {
@@ -490,6 +515,16 @@ TEST(VerifierPipeline, TestbedRefusesArtifactForUnknownSmartNic) {
       << testbed.error();
 }
 
+TEST(VerifierPipeline, TestbedRefusesNicProgramThatFailsVerification) {
+  auto d = compile_canonical({5}, Extras::kSmartNic);
+  ASSERT_FALSE(d.artifacts.nic_programs.empty());
+  d.artifacts.nic_programs.back().program = frame_pointer_write();
+  runtime::Testbed testbed(d.chains, d.placement, d.artifacts, d.topo);
+  EXPECT_FALSE(testbed.ok());
+  EXPECT_NE(testbed.error().find("nic.program-verifies"), std::string::npos)
+      << testbed.error();
+}
+
 TEST(VerifierPipeline, TestbedRefusesOverfullTableBeforeDeploy) {
   auto d = compile_canonical({2});
   overfill_table(d.artifacts.p4, "lemur_steer");
@@ -509,7 +544,8 @@ TEST(VerifierPipeline, TestbedDeploysCleanArtifacts) {
 TEST(VerifierPipeline, RuleCatalogueCoversAllFamilies) {
   const auto& rules = rule_catalogue();
   EXPECT_GE(rules.size(), 10u);
-  for (const char* family : {"nsh.", "handoff.", "p4.", "bess.", "slo."}) {
+  for (const char* family :
+       {"nsh.", "handoff.", "nic.", "p4.", "bess.", "slo."}) {
     const bool covered = std::any_of(
         rules.begin(), rules.end(), [family](const RuleInfo& r) {
           return std::string(r.id).rfind(family, 0) == 0;
