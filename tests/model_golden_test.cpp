@@ -7,7 +7,8 @@
 // changes stage order, timing or drop attribution across commits.
 // Four more runs pin the bytes of every egress frame, which no
 // Measurement field sees: a changed payload byte (generator fill, cipher
-// keystream) moves only these.
+// keystream) moves only these. One more pins the placement and the printed
+// P4 program of the largest input the compiler oracle sees.
 //
 // Re-record only for an intended model change, and say so in the change.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "src/chain/canonical.h"
 #include "src/metacompiler/pisa_oracle.h"
 #include "src/net/pcap.h"
+#include "src/pisa/p4_printer.h"
 #include "src/placer/placer.h"
 #include "src/runtime/recovery.h"
 #include "src/runtime/testbed.h"
@@ -270,6 +272,67 @@ TEST(ModelGolden, EgressBytesChains45OnTestbed) {
   const auto r = place_rack({4, 5}, topo::Topology::lemur_testbed(), 0.5);
   EXPECT_EQ(egress_digest(r, "chains45"),
             "frames 7954 bytes 11931572 fnv 0x6de50836dba69d1b");
+}
+
+/// FNV-1a over a string, printed in hex.
+std::string fnv_hex(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char ch : text) {
+    hash ^= static_cast<std::uint8_t>(ch);
+    hash *= 1099511628211ull;
+  }
+  std::ostringstream out;
+  out << std::hex << hash;
+  return out.str();
+}
+
+/// Every target, subgroup and NIC assignment of a placement, one line each.
+std::string placement_text(const placer::PlacementResult& p) {
+  std::ostringstream out;
+  out.precision(17);
+  for (std::size_t c = 0; c < p.chains.size(); ++c) {
+    out << "chain" << c << " " << p.chains[c].assigned_gbps << " "
+        << p.chains[c].bounces << " " << p.chains[c].latency_us << ":";
+    for (const auto& node : p.chains[c].nodes) {
+      out << " " << placer::to_string(node.target) << node.server << "."
+          << node.smartnic;
+    }
+    out << "\n";
+  }
+  for (const auto& g : p.subgroups) {
+    out << "subgroup chain" << g.chain << " server" << g.server << " cores "
+        << g.cores << " shared " << g.shared_core << " cycles " << g.cycles
+        << " nodes";
+    for (int n : g.nodes) out << " " << n;
+    out << "\n";
+  }
+  for (const auto& nic : p.nic_nfs) {
+    out << "nic chain" << nic.chain << " node" << nic.node << " on "
+        << nic.smartnic << "\n";
+  }
+  return out.str();
+}
+
+// rackbench's pop-scale input: chains {2,3,4,5} x 6 on six 8-core servers
+// plus a SmartNIC, delta 0.5. Set-up there is 82 compiler-oracle checks;
+// a faster oracle must land on the same placement and the same program.
+TEST(ModelGolden, PopScalePlacementAndP4) {
+  std::vector<int> numbers;
+  for (int i = 0; i < 6; ++i) numbers.insert(numbers.end(), {2, 3, 4, 5});
+  auto topo = topo::Topology::multi_server(6, 8);
+  topo.smartnics.push_back(topo::SmartNicSpec{});
+  const auto r = place_rack(numbers, topo, 0.5);
+  const std::string p4 = pisa::print_program(r.artifacts.p4.program);
+  std::ostringstream out;
+  out << "oracle calls " << r.placement.stats.oracle_calls << " stages "
+      << r.placement.pisa_stages_used << " compiled "
+      << r.artifacts.p4.compiled.stats.stages_used << " cores "
+      << r.placement.cores_used
+      << " placement fnv 0x" << fnv_hex(placement_text(r.placement))
+      << " p4 bytes " << p4.size() << " fnv 0x" << fnv_hex(p4);
+  EXPECT_EQ(out.str(),
+            "oracle calls 82 stages 12 compiled 10 cores 48 placement fnv "
+            "0x581c4775ae47ade p4 bytes 21729 fnv 0xba9e9617ae80ac93");
 }
 
 // Flow churn: a new flow every few packets through Dedup and Monitor.

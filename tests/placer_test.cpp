@@ -2,10 +2,12 @@
 // core allocation, the evaluation LP, and all placement strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/chain/parser.h"
 #include "src/metacompiler/pisa_oracle.h"
+#include "src/pisa/compiler.h"
 #include "src/placer/caching_oracle.h"
 #include "src/placer/placer.h"
 
@@ -531,6 +533,100 @@ TEST(Placer, SwitchFitIsFirstFitNotBisection) {
   ASSERT_TRUE(result.feasible) << result.infeasible_reason;
   EXPECT_EQ(result.pisa_stages_used, 12);
   EXPECT_NEAR(result.marginal_gbps(), 58.59, 0.005);
+}
+
+/// The dependency analysis written the plain way: string access sets and
+/// a linear search per field. pisa::dependency_edges must match it edge
+/// for edge, in order.
+std::vector<std::pair<int, int>> reference_dependency_edges(
+    const pisa::P4Program& prog, bool exclusivity_aware) {
+  const auto intersects = [](const std::vector<std::string>& a,
+                             const std::vector<std::string>& b) {
+    for (const auto& x : a) {
+      if (std::find(b.begin(), b.end(), x) != b.end()) return true;
+    }
+    return false;
+  };
+  const int n = static_cast<int>(prog.control.size());
+  std::vector<pisa::AccessSets> sets;
+  for (int i = 0; i < n; ++i) sets.push_back(pisa::access_sets(prog, i));
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const auto& a = sets[static_cast<std::size_t>(i)];
+      const auto& b = sets[static_cast<std::size_t>(j)];
+      if (!intersects(a.writes, b.reads) && !intersects(a.writes, b.writes) &&
+          !intersects(a.reads, b.writes)) {
+        continue;
+      }
+      if (exclusivity_aware &&
+          pisa::guards_mutually_exclusive(
+              prog.control[static_cast<std::size_t>(i)].guard,
+              prog.control[static_cast<std::size_t>(j)].guard)) {
+        continue;
+      }
+      edges.emplace_back(i, j);
+    }
+  }
+  return edges;
+}
+
+/// Composes the program of every check it is asked, as CompilerOracle
+/// does, compares its dependency edges in both exclusivity modes against
+/// the reference, and refuses every check so fit_to_switch walks its
+/// whole demotion sequence.
+class EdgeDiffOracle final : public SwitchOracle {
+ public:
+  Check check(const std::vector<ChainSpec>& chains,
+              const std::vector<std::vector<int>>& pisa_nodes) override {
+    std::vector<metacompiler::ChainRouting> routings;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      Pattern pattern(chains[c].graph.nodes().size());
+      for (int id : pisa_nodes[c]) {
+        pattern[static_cast<std::size_t>(id)].target = Target::kPisa;
+      }
+      routings.push_back(metacompiler::build_routing(
+          chains[c], pattern, static_cast<int>(c)));
+    }
+    const auto artifact =
+        metacompiler::compose_p4(chains, routings, metacompiler::PortMap{});
+    EXPECT_TRUE(artifact.ok()) << artifact.error;
+    for (const bool aware : {true, false}) {
+      const auto edges = pisa::dependency_edges(artifact.program, aware);
+      EXPECT_EQ(edges, reference_dependency_edges(artifact.program, aware))
+          << "check " << programs << ", exclusivity_aware " << aware;
+      edge_count += edges.size();
+    }
+    ++programs;
+    return Check{};
+  }
+  int programs = 0;
+  std::size_t edge_count = 0;
+};
+
+TEST(Placer, DependencyEdgesMatchReferenceOnEveryFitPrefix) {
+  const PlacerOptions options;
+  const auto walk = [&](const std::vector<int>& numbers, double delta,
+                        int servers) {
+    auto topo = topo::Topology::multi_server(servers, 8);
+    topo.smartnics.push_back(topo::SmartNicSpec{});
+    const auto chains = chains_with_delta(numbers, delta, topo, options);
+    std::vector<Pattern> patterns;
+    for (const auto& spec : chains) {
+      patterns.push_back(hw_preferred_pattern(spec, topo, options));
+    }
+    EdgeDiffOracle diff;
+    EXPECT_EQ(fit_to_switch(patterns, std::vector<bool>(chains.size(), true),
+                            chains, topo, options, diff),
+              -1);
+    EXPECT_GT(diff.edge_count, 0u);
+    return diff.programs;
+  };
+  // rackbench's pop-scale input, and SwitchFitIsFirstFitNotBisection's.
+  std::vector<int> pop;
+  for (int i = 0; i < 6; ++i) pop.insert(pop.end(), {2, 3, 4, 5});
+  EXPECT_EQ(walk(pop, 0.5, 6), 97);
+  EXPECT_EQ(walk({2, 4, 1, 5, 3, 4, 2, 2}, 0.3, 5), 38);
 }
 
 TEST(Strategies, HwPreferredInfeasibleOnTinySwitch) {
