@@ -68,13 +68,14 @@ int Ipv4FwdNf::process(net::Packet& pkt) {
   const auto* layers = pkt.layers();
   if (layers == nullptr || !layers->ipv4) return 0;
   const auto port = table_.lookup(layers->ipv4->dst);
-  const int egress = port.value_or(0);
+  // A miss leaves the frame as it came, as the eBPF and P4 programs do.
+  if (!port) return 0;
   // Rewrite the destination MAC to the next hop (derived from the port)
   // — the "MAC address-based forwarding" of the paper's example chain.
   net::MacAddr next_hop{{0x02, 0xfe, 0, 0, 0,
-                         static_cast<std::uint8_t>(egress)}};
+                         static_cast<std::uint8_t>(*port)}};
   net::patch_eth_dst(pkt, next_hop);
-  pkt.ingress_port = static_cast<std::uint32_t>(egress);
+  pkt.ingress_port = static_cast<std::uint32_t>(*port);
   return 0;
 }
 

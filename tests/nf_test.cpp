@@ -316,6 +316,19 @@ TEST(Ipv4FwdNf, LongestPrefixWinsAndRewritesMac) {
   EXPECT_EQ(pkt2.ingress_port, 1u);
 }
 
+TEST(Ipv4FwdNf, MissLeavesFrameAsItCame) {
+  // As the eBPF program and the P4 table's nop default do.
+  NfConfig config;
+  config.rules.push_back({{"prefix", "10.0.0.0/8"}, {"port", "1"}});
+  Ipv4FwdNf fwd(config);
+  auto pkt = PacketBuilder().dst_ip(*Ipv4Addr::parse("192.0.2.1")).build();
+  pkt.ingress_port = 7;
+  const auto before = pkt.data;
+  EXPECT_EQ(fwd.process(pkt), 0);
+  EXPECT_EQ(pkt.data, before);
+  EXPECT_EQ(pkt.ingress_port, 7u);
+}
+
 TEST(AclNf, PaperExampleRule) {
   // ACL(rules=[{'dst_ip':'10.0.0.0/8','drop': False}]) plus catch-all drop.
   NfConfig config;

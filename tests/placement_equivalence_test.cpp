@@ -4,8 +4,9 @@
 // one NF at a time; these tests run whole chains through the rack with a
 // fixed seed and equal offered rates, once all in software and once with
 // NFs on a SmartNIC, and compare every flow's egress frames byte for
-// byte. Fields that may legally differ by platform are canonicalised in
-// canonical_frame() and listed in DESIGN.md "Placement equivalence".
+// byte. A field that may legally differ by platform would have to be
+// canonicalised first and listed in DESIGN.md "Placement equivalence";
+// no tested chain varies one.
 //
 // The SmartNicDevice cases check the NIC stage that runs each NIC NF's
 // own program: its drop verdicts, its pass-through, its engine time.
@@ -77,16 +78,6 @@ bool has(const std::vector<nf::NfType>& types, nf::NfType type) {
   return std::find(types.begin(), types.end(), type) != types.end();
 }
 
-/// A frame with the fields that may differ by platform zeroed; DESIGN.md
-/// "Placement equivalence" lists each and why.
-std::vector<std::uint8_t> canonical_frame(const net::Packet& pkt) {
-  auto frame = pkt.data;
-  // IPv4Fwd's next-hop MAC on a route miss: the C++ NF writes
-  // 02:fe:00:00:00:00, the eBPF and P4 programs leave it as it came.
-  std::fill_n(frame.begin(), 6, 0);
-  return frame;
-}
-
 /// (aggregate, source IP, source port): the generator's flow identity,
 /// which no NF on these chains rewrites.
 using FlowKey = std::tuple<std::uint32_t, std::uint32_t, std::uint16_t>;
@@ -110,7 +101,7 @@ Egress run_rack(const Rack& r) {
     const auto tuple = net::FiveTuple::from(pkt);
     ASSERT_TRUE(tuple.has_value());
     out.flows[{pkt.aggregate_id, tuple->src_ip.value, tuple->src_port}]
-        .push_back(canonical_frame(pkt));
+        .push_back(pkt.data);
   });
   out.m = testbed.run(kRunMs,
                       std::vector<double>(r.chains.size(), kOfferedGbps));
