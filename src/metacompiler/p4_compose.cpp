@@ -1,6 +1,7 @@
 #include "src/metacompiler/p4_compose.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 
@@ -130,12 +131,14 @@ class Composer {
     for (std::size_t c = 0; c < chains_.size(); ++c) {
       for (const auto& segment : routings_[c].segments) {
         if (segment.target != placer::Target::kPisa) continue;
-        if (!compose_region(static_cast<int>(c), segment)) return artifact_;
+        if (!compose_region(static_cast<int>(c), segment)) {
+          return std::move(artifact_);
+        }
       }
       add_chain_steering_entries(static_cast<int>(c));
     }
     artifact_.program = std::move(prog_);
-    return artifact_;
+    return std::move(artifact_);
   }
 
  private:
@@ -370,16 +373,30 @@ class Composer {
     return "meta.branch_c" + std::to_string(c) + "_n" + std::to_string(node);
   }
 
-  bool append_nf_tables(int c, const chain::NfNode& node,
-                        const Guard& base) {
+  /// The P4 bundle of `node`'s (type, config), built once per program;
+  /// its headers and parser are merged when it is built, as a repeat
+  /// merge would add nothing. Null (with the error set) if there is none.
+  const nf::p4::P4NfBundle* bundle_for(const chain::NfNode& node) {
+    for (const auto& [key, bundle] : bundles_) {
+      if (key->type == node.type && key->config == node.config) {
+        return &bundle;
+      }
+    }
     auto bundle = nf::p4::make_p4_nf(node.type, node.config);
     if (!bundle) {
       artifact_.error = "NF '" + node.instance_name +
                         "' placed on the switch but has no P4 bundle";
-      return false;
+      return nullptr;
     }
     for (const auto& h : bundle->headers) add_header(h);
-    if (!merge_bundle_parser(bundle->parser)) return false;
+    if (!merge_bundle_parser(bundle->parser)) return nullptr;
+    return &bundles_.emplace_back(&node, std::move(*bundle)).second;
+  }
+
+  bool append_nf_tables(int c, const chain::NfNode& node,
+                        const Guard& base) {
+    const auto* bundle = bundle_for(node);
+    if (bundle == nullptr) return false;
 
     const std::string prefix =
         "c" + std::to_string(c) + "_" + node.instance_name + "_";
@@ -532,6 +549,8 @@ class Composer {
 
   P4Program prog_;
   P4Artifact artifact_;
+  /// Bundles built so far, keyed by the first node of their (type, config).
+  std::deque<std::pair<const chain::NfNode*, nf::p4::P4NfBundle>> bundles_;
   std::map<std::pair<int, int>, std::uint64_t> region_id_;
   /// (chain, entry node) -> initial reachability path mask.
   std::map<std::pair<int, int>, std::uint64_t> entry_path_mask_;

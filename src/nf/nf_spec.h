@@ -81,6 +81,8 @@ struct NfConfig {
                                     std::int64_t fallback) const;
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string fallback) const;
+
+  bool operator==(const NfConfig&) const = default;
 };
 
 /// Effective worst-case cycle cost for an NF instance, applying the

@@ -1,19 +1,11 @@
 #include "src/pisa/compiler.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string_view>
+#include <unordered_map>
 
 namespace lemur::pisa {
-namespace {
-
-bool intersects(const std::vector<std::string>& a,
-                const std::vector<std::string>& b) {
-  for (const auto& x : a) {
-    if (std::find(b.begin(), b.end(), x) != b.end()) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 long table_sram_bytes(const TableDef& table) {
   // Per entry: key bytes + action selector + up to two 32-bit action data
@@ -36,34 +28,63 @@ int estimate_stages_conservative(const P4Program& prog) {
 
 std::vector<std::pair<int, int>> dependency_edges(const P4Program& prog,
                                                   bool exclusivity_aware) {
-  const int n = static_cast<int>(prog.control.size());
+  const auto n = prog.control.size();
   std::vector<AccessSets> sets;
-  sets.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) sets.push_back(access_sets(prog, i));
+  sets.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sets.push_back(access_sets(prog, static_cast<int>(i)));
+  }
+
+  // Intern every field name once, in first-use order, and hold each
+  // apply's reads and writes as rows of `words` 64-bit words.
+  std::unordered_map<std::string_view, std::size_t> field_ids;
+  for (const auto& set : sets) {
+    for (const auto* names : {&set.reads, &set.writes}) {
+      for (const auto& name : *names) {
+        field_ids.try_emplace(name, field_ids.size());
+      }
+    }
+  }
+  const std::size_t words = (field_ids.size() + 63) / 64;
+  std::vector<std::uint64_t> reads(n * words, 0);
+  std::vector<std::uint64_t> writes(n * words, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& name : sets[i].reads) {
+      const std::size_t id = field_ids.at(name);
+      reads[i * words + id / 64] |= 1ull << (id % 64);
+    }
+    for (const auto& name : sets[i].writes) {
+      const std::size_t id = field_ids.at(name);
+      writes[i * words + id / 64] |= 1ull << (id % 64);
+    }
+  }
 
   std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      const auto& a = sets[static_cast<std::size_t>(i)];
-      const auto& b = sets[static_cast<std::size_t>(j)];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t* ri = &reads[i * words];
+    const std::uint64_t* wi = &writes[i * words];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::uint64_t* rj = &reads[j * words];
+      const std::uint64_t* wj = &writes[j * words];
       // Match dependency: i writes what j reads.
       // Action dependency: i writes what j writes (order matters).
       // Reverse dependency: i reads what j writes (j must not clobber
       // i's inputs within the same stage) — modelled conservatively as
       // a staging edge, as Tofino's TDG does.
-      if (intersects(a.writes, b.reads) || intersects(a.writes, b.writes) ||
-          intersects(a.reads, b.writes)) {
-        // Mutually exclusive applies (disjoint guards on the same field)
-        // cannot both fire for one packet, so their data hazards are
-        // spurious and they may share a stage (optimization (d)).
-        if (exclusivity_aware &&
-            guards_mutually_exclusive(
-                prog.control[static_cast<std::size_t>(i)].guard,
-                prog.control[static_cast<std::size_t>(j)].guard)) {
-          continue;
-        }
-        edges.emplace_back(i, j);
+      std::uint64_t hazard = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        hazard |= (wi[w] & (rj[w] | wj[w])) | (ri[w] & wj[w]);
       }
+      if (hazard == 0) continue;
+      // Mutually exclusive applies (disjoint guards on the same field)
+      // cannot both fire for one packet, so their data hazards are
+      // spurious and they may share a stage (optimization (d)).
+      if (exclusivity_aware &&
+          guards_mutually_exclusive(prog.control[i].guard,
+                                    prog.control[j].guard)) {
+        continue;
+      }
+      edges.emplace_back(static_cast<int>(i), static_cast<int>(j));
     }
   }
   return edges;
@@ -79,17 +100,8 @@ CompileResult compile(const P4Program& prog,
   const auto edges = dependency_edges(prog, exclusivity_aware);
   out.stats.dependency_edges = static_cast<int>(edges.size());
 
-  // Earliest dependency level for each apply (longest path in the TDG).
-  std::vector<int> level(static_cast<std::size_t>(n), 0);
-  for (const auto& [i, j] : edges) {
-    // Control order is already topological (i < j), so one pass suffices.
-    level[static_cast<std::size_t>(j)] =
-        std::max(level[static_cast<std::size_t>(j)],
-                 level[static_cast<std::size_t>(i)] + 1);
-  }
-
   // First-fit packing: place each apply (in control order) into the first
-  // stage >= its dependency level with spare table slots and memory.
+  // stage after its dependencies with spare table slots and memory.
   std::vector<CompiledStage> stages;
   auto fits = [&](const CompiledStage& st, long sram, long tcam) {
     return static_cast<int>(st.applies.size()) < spec.tables_per_stage &&
@@ -97,7 +109,11 @@ CompileResult compile(const P4Program& prog,
            st.tcam_bytes + tcam <= spec.tcam_bytes_per_stage;
   };
 
-  std::vector<int> assigned_stage(static_cast<std::size_t>(n), -1);
+  // Edges come sorted by source, so placing apply i pushes the earliest
+  // stage of each of its successors past i's: one walk of the edge list
+  // for the whole program.
+  std::vector<int> earliest(static_cast<std::size_t>(n), 0);
+  auto next_edge = edges.begin();
   for (int i = 0; i < n; ++i) {
     const TableDef& table =
         prog.table(prog.control[static_cast<std::size_t>(i)].table);
@@ -109,15 +125,7 @@ CompileResult compile(const P4Program& prog,
       out.stages_required = spec.stages + 1;
       return out;
     }
-    // Dependencies may have been pushed past their level by packing, so
-    // the real earliest stage is after every assigned dependency.
-    int earliest = level[static_cast<std::size_t>(i)];
-    for (const auto& [a, b] : edges) {
-      if (b == i && assigned_stage[static_cast<std::size_t>(a)] >= earliest) {
-        earliest = assigned_stage[static_cast<std::size_t>(a)] + 1;
-      }
-    }
-    int stage = earliest;
+    int stage = earliest[static_cast<std::size_t>(i)];
     while (true) {
       if (stage >= static_cast<int>(stages.size())) {
         stages.resize(static_cast<std::size_t>(stage) + 1);
@@ -129,7 +137,10 @@ CompileResult compile(const P4Program& prog,
     st.applies.push_back(i);
     st.sram_bytes += sram;
     st.tcam_bytes += tcam;
-    assigned_stage[static_cast<std::size_t>(i)] = stage;
+    for (; next_edge != edges.end() && next_edge->first == i; ++next_edge) {
+      int& after = earliest[static_cast<std::size_t>(next_edge->second)];
+      after = std::max(after, stage + 1);
+    }
     out.stats.total_sram_bytes += sram;
     out.stats.total_tcam_bytes += tcam;
   }

@@ -64,7 +64,7 @@ CompileResult compile(const P4Program& prog, const topo::PisaSwitchSpec& spec,
 
 /// Exposed for tests and for the metacompiler's diagnostics: the pairwise
 /// dependency edges (i -> j means control[j] must be staged after
-/// control[i]).
+/// control[i]), sorted by (i, j).
 std::vector<std::pair<int, int>> dependency_edges(
     const P4Program& prog, bool exclusivity_aware = true);
 

@@ -228,6 +228,41 @@ TEST(Compose, MultipleChainsShareThePipeline) {
   EXPECT_TRUE(compiled.ok) << compiled.error;
 }
 
+TEST(Compose, SameTypeNfsKeepTheirOwnConfigs) {
+  // The composer builds one P4 bundle per distinct (type, config): two
+  // Tunnels with different tags and two ACLs with different rule lists
+  // must each keep their own default params and entries.
+  ComposeFixture fx;
+  auto spec = make_spec(
+      "Tunnel(vlan_tag=10) -> Tunnel(vlan_tag=20) -> "
+      "ACL(rules=[{'dst_ip': '10.1.0.0/16', 'drop': True}]) -> "
+      "ACL(rules=[{'dst_ip': '10.2.0.0/16', 'drop': True}, "
+      "{'dst_ip': '10.3.0.0/16', 'drop': True}])");
+  Pattern pattern(spec.graph.nodes().size());
+  for (auto& p : pattern) p.target = Target::kPisa;
+  auto artifact = fx.compose({spec}, {pattern});
+  ASSERT_TRUE(artifact.ok()) << artifact.error;
+
+  std::vector<std::vector<std::uint64_t>> tags;
+  std::vector<std::string> acls;
+  for (const auto& table : artifact.program.tables) {
+    if (table.name.ends_with("_tunnel")) tags.push_back(table.default_params);
+    if (table.name.ends_with("_acl")) acls.push_back(table.name);
+  }
+  EXPECT_EQ(tags, (std::vector<std::vector<std::uint64_t>>{{10}, {20}}));
+  ASSERT_EQ(acls.size(), 2u);
+  const auto acl_dsts = [&](const std::string& name) {
+    std::vector<std::uint64_t> dsts;
+    for (const auto& [table, entry] : artifact.entries) {
+      if (table == name) dsts.push_back(entry.key[1].value);
+    }
+    return dsts;
+  };
+  EXPECT_EQ(acl_dsts(acls[0]), (std::vector<std::uint64_t>{0x0a010000}));
+  EXPECT_EQ(acl_dsts(acls[1]),
+            (std::vector<std::uint64_t>{0x0a020000, 0x0a030000}));
+}
+
 // --- Oracle ---------------------------------------------------------------------
 
 TEST(Oracle, CompilerOracleAcceptsAndRejects) {
