@@ -12,6 +12,9 @@
 // conservative Sonata-style estimate, paper: 14), and the platform
 // compiler's packing with the metacompiler's exclusivity annotations
 // (paper: 12).
+//
+// Exits 1 when a stated shape fails (EXPERIMENTS.md "Extreme P4 stage
+// configuration"), so it also runs as the ctest bench_stage_extreme.
 #include "bench/common.h"
 
 #include "src/chain/parser.h"
@@ -57,6 +60,7 @@ int main() {
 
   std::printf("Lemur reproduction — extreme P4 stage configuration "
               "(section 5.2)\n");
+  bool shape_holds = true;
 
   bench::print_header("Stage estimates, BPF -> N x NAT -> IPv4Fwd fully "
                       "on the switch");
@@ -72,6 +76,9 @@ int main() {
     std::printf("%-6d %18d %24d %15d %s\n", nats, naive,
                 conservative.stages_required, compiled.stages_required,
                 compiled.ok ? "(fits)" : "(overflow)");
+    shape_holds &= naive > conservative.stages_required &&
+                   conservative.stages_required > compiled.stages_required &&
+                   !compiled.ok;
   }
 
   bench::print_header(
@@ -84,6 +91,8 @@ int main() {
     metacompiler::CompilerOracle oracle(topo);
     auto placement =
         placer::place(strategy, chains, topo, options, oracle);
+    shape_holds &= placement.feasible == (strategy == placer::Strategy::kLemur ||
+                                          strategy == placer::Strategy::kOptimal);
     int switch_nats = 0;
     if (placement.feasible) {
       for (const auto& n : chains[0].graph.nodes()) {
@@ -107,9 +116,13 @@ int main() {
   }
   std::printf(
       "\nExpected shape: naive > conservative > compiler stage counts; "
-      "the 11-NAT\nprogram overflows while fewer NATs fit; only "
-      "Lemur/Optimal find a feasible\nsplit (most NATs on the switch, the "
-      "rest on the server), SW Preferred's 40G\nlink cannot carry t_min, "
-      "and hardware-first strategies overflow the stages.\n");
+      "the 9-, 10- and\n11-NAT programs all overflow; only "
+      "Lemur/Optimal find a feasible split (NATs\nshared between the "
+      "switch and the server), SW Preferred's 40G link cannot\ncarry "
+      "t_min, and hardware-first strategies overflow the stages.\n");
+  if (!shape_holds) {
+    std::printf("SHAPE FAILED\n");
+    return 1;
+  }
   return 0;
 }
