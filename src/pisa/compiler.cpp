@@ -48,24 +48,25 @@ std::vector<std::pair<int, int>> dependency_edges(const P4Program& prog,
   const std::size_t words = (field_ids.size() + 63) / 64;
   std::vector<std::uint64_t> reads(n * words, 0);
   std::vector<std::uint64_t> writes(n * words, 0);
+  const auto set_row = [&](std::uint64_t* row,
+                           const std::vector<std::string>& names) {
+    for (const auto& name : names) {
+      const std::size_t id = field_ids.at(name);
+      row[id / 64] |= 1ull << (id % 64);
+    }
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& name : sets[i].reads) {
-      const std::size_t id = field_ids.at(name);
-      reads[i * words + id / 64] |= 1ull << (id % 64);
-    }
-    for (const auto& name : sets[i].writes) {
-      const std::size_t id = field_ids.at(name);
-      writes[i * words + id / 64] |= 1ull << (id % 64);
-    }
+    set_row(reads.data() + i * words, sets[i].reads);
+    set_row(writes.data() + i * words, sets[i].writes);
   }
 
   std::vector<std::pair<int, int>> edges;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t* ri = &reads[i * words];
-    const std::uint64_t* wi = &writes[i * words];
+    const std::uint64_t* ri = reads.data() + i * words;
+    const std::uint64_t* wi = writes.data() + i * words;
     for (std::size_t j = i + 1; j < n; ++j) {
-      const std::uint64_t* rj = &reads[j * words];
-      const std::uint64_t* wj = &writes[j * words];
+      const std::uint64_t* rj = reads.data() + j * words;
+      const std::uint64_t* wj = writes.data() + j * words;
       // Match dependency: i writes what j reads.
       // Action dependency: i writes what j writes (order matters).
       // Reverse dependency: i reads what j writes (j must not clobber
