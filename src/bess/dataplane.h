@@ -60,6 +60,9 @@ class ServerDataplane {
   [[nodiscard]] std::uint64_t core_cycles(int core) const {
     return cycles_[static_cast<std::size_t>(core)];
   }
+  [[nodiscard]] const CoreScheduler& scheduler(int core) const {
+    return schedulers_[static_cast<std::size_t>(core)];
+  }
 
   /// All modules in creation order (telemetry sweeps drop/occupancy state).
   [[nodiscard]] const std::vector<std::unique_ptr<Module>>& modules() const {

@@ -56,6 +56,12 @@ class CoreScheduler {
   /// Always advances the virtual clock, even when idle.
   std::size_t tick(Context& ctx);
 
+  [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
+  /// A task's token bucket, bits (its burst when the task is unlimited).
+  [[nodiscard]] double tokens_bits(std::size_t task) const {
+    return tasks_[task].tokens_bits;
+  }
+
  private:
   struct TaskState {
     Task task;

@@ -259,7 +259,6 @@ class ServerStage : public Stage {
     nic_.sample_nfs(out);
   }
 
- private:
   /// Wire from the ToR to the server NIC: packets become visible to
   /// PortInc once their ready time passes. Accepting opens the server hop.
   class Wire : public bess::PacketSource, public Stage {
@@ -291,6 +290,8 @@ class ServerStage : public Stage {
     Report& report_;
     int server_;
   };
+
+ private:
 
   /// Collects server egress for the ToR. Closes the open server hop: a
   /// hop's exit can never precede its enter, so per-core virtual-clock

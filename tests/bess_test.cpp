@@ -8,6 +8,7 @@
 #include "src/bess/queue.h"
 #include "src/bess/scheduler.h"
 #include "src/net/packet_builder.h"
+#include "src/runtime/stages.h"
 
 namespace lemur::bess {
 namespace {
@@ -345,6 +346,358 @@ TEST(Dataplane, TwoCoresDoubleThroughput) {
   dp.run_until_ns(10'000'000);
   const double pps = static_cast<double>(out->packets()) / 10e-3;
   EXPECT_NEAR(pps / (2 * 1.7e9 / 8500.0), 1.0, 0.05);
+}
+
+// --- Differential check: ServerDataplane against the per-tick loop. ---
+//
+// The reference below is the dataplane loop as it ran before quiescent
+// cores were fast-forwarded: every poll, idle or not, is one full
+// CoreScheduler::tick through Task::run. The library must run the same
+// ticks, so every core clock, every token bucket and every delivery
+// (core, clock) must match it exactly on seeded random dataplanes.
+
+class RefTask {
+ public:
+  explicit RefTask(PortInc* port) : port_(port) {}
+  RefTask(Queue* queue, Module* head) : queue_(queue), head_(head) {}
+
+  std::size_t run(Context& ctx, std::uint64_t& bytes_out) {
+    if (port_ != nullptr) return port_->run_once(ctx);
+    net::PacketBatch batch;
+    const std::size_t n = queue_->pull(batch, net::PacketBatch::kMaxBatch);
+    if (n == 0) {
+      ctx.charge(Task::kIdleCycles);
+      return 0;
+    }
+    bytes_out += batch.total_bytes();
+    head_->process(ctx, std::move(batch));
+    return n;
+  }
+
+ private:
+  PortInc* port_ = nullptr;
+  Queue* queue_ = nullptr;
+  Module* head_ = nullptr;
+};
+
+class RefScheduler {
+ public:
+  void add_task(RefTask task, RateLimit limit) {
+    tasks_.push_back({task, limit, limit.burst_bits, 0});
+  }
+
+  std::size_t tick(Context& ctx) {
+    if (tasks_.empty()) {
+      ctx.charge(Task::kIdleCycles);
+      return 0;
+    }
+    const std::uint64_t now = ctx.now_ns();
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      auto& ts = tasks_[(next_ + i) % tasks_.size()];
+      if (!runnable(ts, now)) continue;
+      next_ = (next_ + i + 1) % tasks_.size();
+      std::uint64_t bytes = 0;
+      const std::size_t n = ts.task.run(ctx, bytes);
+      if (ts.limit.limited()) {
+        ts.tokens_bits -= static_cast<double>(bytes) * 8.0;
+      }
+      return n;
+    }
+    ctx.charge(Task::kIdleCycles);
+    return 0;
+  }
+
+  [[nodiscard]] double tokens_bits(std::size_t task) const {
+    return tasks_[task].tokens_bits;
+  }
+
+ private:
+  struct TaskState {
+    RefTask task;
+    RateLimit limit;
+    double tokens_bits = 0;
+    std::uint64_t last_refill_ns = 0;
+  };
+
+  static bool runnable(TaskState& ts, std::uint64_t now_ns) {
+    if (!ts.limit.limited()) return true;
+    const std::uint64_t elapsed =
+        now_ns > ts.last_refill_ns ? now_ns - ts.last_refill_ns : 0;
+    ts.tokens_bits =
+        std::min(ts.limit.burst_bits,
+                 ts.tokens_bits + ts.limit.bits_per_sec *
+                                      static_cast<double>(elapsed) * 1e-9);
+    ts.last_refill_ns = now_ns;
+    return ts.tokens_bits > 0;
+  }
+
+  std::vector<TaskState> tasks_;
+  std::size_t next_ = 0;
+};
+
+class RefDataplane {
+ public:
+  RefDataplane(topo::ServerSpec spec, std::uint64_t seed)
+      : spec_(std::move(spec)),
+        schedulers_(static_cast<std::size_t>(spec_.total_cores())),
+        cycles_(static_cast<std::size_t>(spec_.total_cores()), 0),
+        rng_(seed) {}
+
+  template <typename T, typename... Args>
+  T* add_module(Args&&... args) {
+    modules_.push_back(std::make_unique<T>(std::forward<Args>(args)...));
+    return static_cast<T*>(modules_.back().get());
+  }
+  void add_task(int core, RefTask task, RateLimit limit) {
+    schedulers_[static_cast<std::size_t>(core)].add_task(task, limit);
+  }
+  [[nodiscard]] int num_cores() const { return spec_.total_cores(); }
+  [[nodiscard]] std::uint64_t core_cycles(int core) const {
+    return cycles_[static_cast<std::size_t>(core)];
+  }
+  [[nodiscard]] const RefScheduler& scheduler(int core) const {
+    return schedulers_[static_cast<std::size_t>(core)];
+  }
+
+  void run_until_ns(std::uint64_t horizon_ns) {
+    const double ghz = spec_.clock_ghz;
+    const auto horizon_cycles = static_cast<std::uint64_t>(
+        static_cast<double>(horizon_ns) * ghz);
+    bool any_behind = true;
+    while (any_behind) {
+      any_behind = false;
+      for (int core = 0; core < num_cores(); ++core) {
+        auto& cycles = cycles_[static_cast<std::size_t>(core)];
+        if (cycles >= horizon_cycles) continue;
+        any_behind = true;
+        const std::uint64_t quantum_end = std::min(
+            horizon_cycles,
+            cycles + static_cast<std::uint64_t>(20000.0 * ghz));
+        Context ctx(&cycles, ghz, &rng_, numa_factor(core), nullptr);
+        int ticks = 0;
+        while (cycles < quantum_end && ticks < 64) {
+          schedulers_[static_cast<std::size_t>(core)].tick(ctx);
+          ++ticks;
+        }
+        if (ticks >= 64 && cycles < quantum_end) continue;
+        if (cycles < quantum_end) cycles = quantum_end;
+      }
+    }
+  }
+
+ private:
+  double numa_factor(int core) const {
+    const int nic_socket = spec_.nics.empty() ? 0 : spec_.nics.front().socket;
+    return core / spec_.cores_per_socket == nic_socket
+               ? 1.0
+               : spec_.cross_numa_factor;
+  }
+
+  topo::ServerSpec spec_;
+  std::vector<std::unique_ptr<Module>> modules_;
+  std::vector<RefScheduler> schedulers_;
+  std::vector<std::uint64_t> cycles_;
+  std::mt19937_64 rng_;
+};
+
+struct Delivery {
+  int core;
+  std::uint64_t cycles;
+  std::uint32_t id;
+  bool operator==(const Delivery&) const = default;
+};
+
+/// Terminal module: logs which core delivered each packet, and when.
+class Recorder : public Module {
+ public:
+  Recorder(int core, std::vector<Delivery>* log) : core_(core), log_(log) {}
+  void process(Context& ctx, net::PacketBatch&& batch) override {
+    count_in(batch);
+    for (const auto& pkt : batch) {
+      log_->push_back({core_, ctx.cycles(), pkt.aggregate_id});
+    }
+  }
+
+ private:
+  int core_;
+  std::vector<Delivery>* log_;
+};
+
+/// Charges a per-packet cost plus a per-batch jitter from the dataplane's
+/// RNG, so both loops must also draw in the same order.
+class JitterCost : public Module {
+ public:
+  explicit JitterCost(std::uint64_t cycles_per_packet)
+      : cost_(cycles_per_packet) {}
+  void process(Context& ctx, net::PacketBatch&& batch) override {
+    count_in(batch);
+    ctx.charge_scaled(cost_ * batch.size() + ctx.rng()() % 64);
+    emit(ctx, 0, std::move(batch));
+  }
+
+ private:
+  std::uint64_t cost_;
+};
+
+/// A source that never reports idle: supplies one packet on every
+/// `period`-th pull and nothing otherwise.
+class TrickleSource : public PacketSource {
+ public:
+  TrickleSource(std::uint32_t first_id, int period)
+      : next_id_(first_id), period_(period) {}
+  std::size_t pull(net::PacketBatch& out, std::size_t,
+                   std::uint64_t now_ns) override {
+    if (++pulls_ % period_ != 0) return 0;
+    out.push(net::PacketBuilder()
+                 .frame_size(256)
+                 .aggregate_id(next_id_++)
+                 .arrival_ns(now_ns)
+                 .build());
+    return 1;
+  }
+
+ private:
+  std::uint32_t next_id_;
+  int period_;
+  int pulls_ = 0;
+};
+
+/// One random dataplane, built identically (same draws, same order) into
+/// the library's ServerDataplane or the reference.
+template <class Dataplane, class TaskT>
+struct Rig {
+  Rig(const topo::ServerSpec& spec, std::uint64_t seed)
+      : dp(spec, seed), report(1) {
+    std::mt19937_64 draw(seed * 7919 + 1);
+    const auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(draw);
+    };
+    const auto limit = [&] {
+      RateLimit l;
+      if (pick(0, 1) == 0) return l;
+      l.bits_per_sec = 2e8 * pick(1, 100);
+      static constexpr double kBursts[] = {1, 512, 12000, 96000};
+      l.burst_bits = kBursts[pick(0, 3)];
+      return l;
+    };
+    // Each core gets 0-6 task slots: a queue's drain task or a port.
+    std::vector<std::pair<int, bool>> slots;  // (core, is_queue)
+    for (int core = 0; core < dp.num_cores(); ++core) {
+      for (int k = pick(0, 6); k > 0; --k) {
+        slots.emplace_back(core, pick(0, 9) < 4);
+      }
+    }
+    std::vector<Queue*> queues;
+    for (const auto& [core, is_queue] : slots) {
+      if (is_queue) {
+        static constexpr std::size_t kCaps[] = {16, 256, 1024};
+        queues.push_back(dp.template add_module<Queue>(kCaps[pick(0, 2)]));
+      }
+    }
+    // Each task's pipeline: a cost module, then a recorder on the task's
+    // core or a queue drained elsewhere (later queues only, so no cycles).
+    std::size_t queue_index = 0;
+    for (const auto& [core, is_queue] : slots) {
+      auto* cost = dp.template add_module<JitterCost>(
+          static_cast<std::uint64_t>(pick(1, 300) * 10));
+      const int first_out = is_queue ? static_cast<int>(queue_index) + 1 : 0;
+      const int last_out = static_cast<int>(queues.size()) - 1;
+      if (first_out <= last_out && pick(0, 2) != 0) {
+        cost->connect(0, queues[static_cast<std::size_t>(
+                             pick(first_out, last_out))]);
+      } else {
+        cost->connect(0, dp.template add_module<Recorder>(core, &log));
+      }
+      if (is_queue) {
+        dp.add_task(core, TaskT(queues[queue_index++], cost), limit());
+        continue;
+      }
+      PacketSource* source = nullptr;
+      if (const int kind = pick(0, 9); kind < 7) {
+        wires.push_back(std::make_unique<runtime::ServerStage::Wire>(
+            report, static_cast<int>(wires.size())));
+        source = wires.back().get();
+      } else if (kind < 8) {
+        trickles.push_back(std::make_unique<TrickleSource>(
+            (1u << 30) + 10000u * static_cast<std::uint32_t>(trickles.size()),
+            pick(5, 40)));
+        source = trickles.back().get();
+      }
+      auto* inc = dp.template add_module<PortInc>(source);
+      inc->connect(0, cost);
+      dp.add_task(core, TaskT(inc), limit());
+    }
+  }
+
+  Dataplane dp;
+  runtime::Report report;
+  std::vector<std::unique_ptr<runtime::ServerStage::Wire>> wires;
+  std::vector<std::unique_ptr<TrickleSource>> trickles;
+  std::vector<Delivery> log;
+};
+
+TEST(Dataplane, RunMatchesPerTickReferenceOnRandomDataplanes) {
+  std::size_t delivered = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937_64 draw(seed);
+    const auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(draw);
+    };
+    topo::ServerSpec spec;
+    const int cores = pick(1, 8);
+    spec.sockets = cores % 2 == 0 && pick(0, 1) == 1 ? 2 : 1;
+    spec.cores_per_socket = cores / spec.sockets;
+    static constexpr double kGhz[] = {1.0, 1.7, 2.6};
+    spec.clock_ghz = kGhz[pick(0, 2)];
+    Rig<ServerDataplane, Task> lib(spec, seed);
+    Rig<RefDataplane, RefTask> ref(spec, seed);
+    ASSERT_EQ(lib.wires.size(), ref.wires.size());
+
+    std::uint32_t next_id = 0;
+    std::uint64_t horizon = 0;
+    for (int step = 0; step < 20; ++step) {
+      const std::uint64_t span = static_cast<std::uint64_t>(pick(2, 40)) * 1000;
+      // The ToR's hand-off: packets ready at drawn times, mostly inside
+      // the coming window (so mid-visit), some later, a few out of order.
+      for (std::size_t w = 0; w < lib.wires.size(); ++w) {
+        for (int k = pick(0, 12); k > 0; --k) {
+          const std::uint64_t ready =
+              pick(0, 9) == 0 && horizon > 0
+                  ? horizon - 1
+                  : horizon + static_cast<std::uint64_t>(
+                                  pick(0, static_cast<int>(span * 3 / 2)));
+          const std::size_t frame = pick(0, 1) == 0 ? 64 : 1500;
+          const std::uint32_t id = next_id++;
+          for (auto* rig_wire : {lib.wires[w].get(), ref.wires[w].get()}) {
+            rig_wire->accept(net::PacketBuilder()
+                                 .frame_size(frame)
+                                 .aggregate_id(id)
+                                 .arrival_ns(horizon)
+                                 .build(),
+                             ready);
+          }
+        }
+      }
+      horizon += span;
+      lib.dp.run_until_ns(horizon);
+      ref.dp.run_until_ns(horizon);
+
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", horizon " +
+                   std::to_string(horizon) + " ns");
+      for (int core = 0; core < spec.total_cores(); ++core) {
+        ASSERT_EQ(lib.dp.core_cycles(core), ref.dp.core_cycles(core))
+            << "core " << core;
+        const auto& sched = lib.dp.scheduler(core);
+        for (std::size_t t = 0; t < sched.task_count(); ++t) {
+          ASSERT_EQ(sched.tokens_bits(t), ref.dp.scheduler(core).tokens_bits(t))
+              << "core " << core << " task " << t;
+        }
+      }
+      ASSERT_EQ(lib.log, ref.log);
+    }
+    delivered += lib.log.size();
+  }
+  EXPECT_GT(delivered, 1000u);  // The rigs carry traffic, not just polls.
 }
 
 }  // namespace
