@@ -25,8 +25,9 @@ void ServerDataplane::run_until_ns(std::uint64_t horizon_ns) {
   const double ghz = spec_.clock_ghz;
   const auto horizon_cycles = static_cast<std::uint64_t>(
       static_cast<double>(horizon_ns) * ghz);
-  // Interleave cores in small quanta so that queues between cores flow
-  // with bounded virtual-time skew.
+  // Interleave cores in short visits so that queues between cores flow
+  // with bounded virtual-time skew. Only the visiting core's clock moves
+  // during a visit.
   bool any_behind = true;
   while (any_behind) {
     any_behind = false;
@@ -34,20 +35,12 @@ void ServerDataplane::run_until_ns(std::uint64_t horizon_ns) {
       auto& cycles = cycles_[static_cast<std::size_t>(core)];
       if (cycles >= horizon_cycles) continue;
       any_behind = true;
-      // One quantum: ~20us of virtual time or 64 ticks, whichever first.
-      const std::uint64_t quantum_end = std::min(
+      // One visit: ~20us of virtual time or 64 ticks, whichever first.
+      const std::uint64_t visit_end = std::min(
           horizon_cycles,
           cycles + static_cast<std::uint64_t>(20000.0 * ghz));
       Context ctx(&cycles, ghz, &rng_, numa_factor(core), pool_);
-      int ticks = 0;
-      while (cycles < quantum_end && ticks < 64) {
-        schedulers_[static_cast<std::size_t>(core)].tick(ctx);
-        ++ticks;
-      }
-      // If the scheduler is fully idle the ticks cap may leave us short
-      // of the quantum; jump the clock so the loop terminates.
-      if (ticks >= 64 && cycles < quantum_end) continue;
-      if (cycles < quantum_end) cycles = quantum_end;
+      schedulers_[static_cast<std::size_t>(core)].run(ctx, visit_end, 64);
     }
   }
 }

@@ -20,6 +20,11 @@ class PacketSource {
   /// `now_ns`; returns the number supplied.
   virtual std::size_t pull(net::PacketBatch& out, std::size_t max,
                            std::uint64_t now_ns) = 0;
+  /// True only if pull() at `now_ns` would supply nothing. The scheduler
+  /// then skips the poll's work, so `false` is always a safe answer.
+  [[nodiscard]] virtual bool idle(std::uint64_t /*now_ns*/) const {
+    return false;
+  }
 };
 
 /// Consumes egress packets.
@@ -44,6 +49,11 @@ class PortInc : public Module {
   /// Scheduler entry point: pulls and processes one batch; returns the
   /// number of packets moved (0 = idle).
   std::size_t run_once(Context& ctx);
+
+  /// True only if run_once at `now_ns` would move nothing.
+  [[nodiscard]] bool idle(std::uint64_t now_ns) const {
+    return source_ == nullptr || source_->idle(now_ns);
+  }
 
  private:
   PacketSource* source_;

@@ -5,20 +5,13 @@
 namespace lemur::bess {
 
 std::size_t Task::run(Context& ctx, std::uint64_t& bytes_out) {
-  if (port_ != nullptr) {
-    // PortInc knows its own source; batch byte counting via packets_in is
-    // not needed for rate limiting NIC polls (limits apply to subgroups).
-    const std::size_t n = port_->run_once(ctx);
-    if (n == 0) return 0;
-    bytes_out += 0;  // NIC ingress is shaped upstream by the source.
-    return n;
-  }
-  net::PacketBatch batch;
-  const std::size_t n = queue_->pull(batch, net::PacketBatch::kMaxBatch);
-  if (n == 0) {
-    ctx.charge(kIdleCycles);
+  if (idle(ctx.now_ns())) {
+    ctx.charge(idle_cycles());
     return 0;
   }
+  if (port_ != nullptr) return port_->run_once(ctx);
+  net::PacketBatch batch;
+  const std::size_t n = queue_->pull(batch, net::PacketBatch::kMaxBatch);
   bytes_out += batch.total_bytes();
   head_->process(ctx, std::move(batch));
   return n;
@@ -42,11 +35,43 @@ bool CoreScheduler::runnable(TaskState& ts, std::uint64_t now_ns) const {
   return ts.tokens_bits > 0;
 }
 
-std::size_t CoreScheduler::tick(Context& ctx) {
+std::size_t CoreScheduler::run(Context& ctx, std::uint64_t end_cycles,
+                               int max_ticks) {
+  int ticks = 0;
+  const auto more = [&] {
+    return ticks < max_ticks && ctx.cycles() < end_cycles;
+  };
   if (tasks_.empty()) {
-    ctx.charge(Task::kIdleCycles);
+    for (; more(); ++ticks) ctx.charge(Task::kIdleCycles);
     return 0;
   }
+  std::size_t moved = 0;
+  while (more()) {
+    if (!quiescent(ctx.now_ns())) {
+      moved += step(ctx);
+      ++ticks;
+      continue;
+    }
+    // Each tick now picks the task at the cursor (every bucket is full),
+    // finds it idle and charges its idle cost. Nothing else runs on this
+    // core, so only a port's source turning ready as the clock advances
+    // ends the streak.
+    do {
+      ctx.charge(tasks_[next_].task.idle_cycles());
+      if (++next_ == tasks_.size()) next_ = 0;
+      ++ticks;
+    } while (more() && tasks_[next_].task.idle(ctx.now_ns()));
+  }
+  return moved;
+}
+
+bool CoreScheduler::quiescent(std::uint64_t now_ns) const {
+  return std::all_of(tasks_.begin(), tasks_.end(), [&](const TaskState& ts) {
+    return ts.bucket_full() && ts.task.idle(now_ns);
+  });
+}
+
+std::size_t CoreScheduler::step(Context& ctx) {
   const std::uint64_t now = ctx.now_ns();
   // Round-robin: find the next runnable task.
   for (std::size_t i = 0; i < tasks_.size(); ++i) {

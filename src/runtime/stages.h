@@ -283,6 +283,9 @@ class ServerStage : public Stage {
       }
       return n;
     }
+    [[nodiscard]] bool idle(std::uint64_t now_ns) const override {
+      return fifo.empty() || fifo.front().first > now_ns;
+    }
     std::deque<std::pair<std::uint64_t, net::Packet>> fifo;
 
    private:
