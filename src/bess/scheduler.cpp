@@ -18,6 +18,7 @@ std::size_t Task::run(Context& ctx, std::uint64_t& bytes_out) {
 }
 
 void CoreScheduler::add_task(Task task, RateLimit limit) {
+  if (task.polls_port()) ++ports_;
   TaskState ts{task, limit, limit.burst_bits, 0};
   tasks_.push_back(ts);
 }
@@ -41,10 +42,6 @@ std::size_t CoreScheduler::run(Context& ctx, std::uint64_t end_cycles,
   const auto more = [&] {
     return ticks < max_ticks && ctx.cycles() < end_cycles;
   };
-  if (tasks_.empty()) {
-    for (; more(); ++ticks) ctx.charge(Task::kIdleCycles);
-    return 0;
-  }
   std::size_t moved = 0;
   while (more()) {
     if (!quiescent(ctx.now_ns())) {
@@ -56,6 +53,17 @@ std::size_t CoreScheduler::run(Context& ctx, std::uint64_t end_cycles,
     // finds it idle and charges its idle cost. Nothing else runs on this
     // core, so only a port's source turning ready as the clock advances
     // ends the streak.
+    if (ports_ == 0) {
+      // Every tick costs kIdleCycles and nothing can turn ready: count
+      // the ticks that reach the end or the cap.
+      const std::uint64_t left = end_cycles - ctx.cycles();
+      const std::uint64_t n = std::min<std::uint64_t>(
+          static_cast<std::uint64_t>(max_ticks - ticks),
+          left / Task::kIdleCycles + (left % Task::kIdleCycles != 0));
+      ctx.charge(n * Task::kIdleCycles);
+      if (!tasks_.empty()) next_ = (next_ + n) % tasks_.size();
+      break;
+    }
     do {
       ctx.charge(tasks_[next_].task.idle_cycles());
       if (++next_ == tasks_.size()) next_ = 0;

@@ -50,6 +50,8 @@ class Task {
     return port_ != nullptr ? PortInc::kPollCyclesPerBatch : kIdleCycles;
   }
 
+  [[nodiscard]] bool polls_port() const { return port_ != nullptr; }
+
   /// Idle poll cost of a queue task, and of a core with nothing runnable.
   static constexpr std::uint64_t kIdleCycles = 30;
 
@@ -106,6 +108,7 @@ class CoreScheduler {
 
   std::vector<TaskState> tasks_;
   std::size_t next_ = 0;
+  std::size_t ports_ = 0;  ///< Tasks that poll a port.
 };
 
 }  // namespace lemur::bess
