@@ -51,7 +51,8 @@ class ServerDataplane {
   [[nodiscard]] double numa_factor(int core) const;
 
   /// Runs every core until its virtual clock reaches `horizon_ns`.
-  /// Interleaves cores in small quanta so cross-core queues flow.
+  /// Interleaves cores in short visits (20 us or 64 ticks) so cross-core
+  /// queues flow.
   void run_until_ns(std::uint64_t horizon_ns);
 
   /// Virtual time of the slowest core, ns.

@@ -54,8 +54,7 @@ std::size_t CoreScheduler::run(Context& ctx, std::uint64_t end_cycles,
     // core, so only a port's source turning ready as the clock advances
     // ends the streak.
     if (ports_ == 0) {
-      // Every tick costs kIdleCycles and nothing can turn ready: count
-      // the ticks that reach the end or the cap.
+      // No port: every tick costs kIdleCycles until the end or the cap.
       const std::uint64_t left = end_cycles - ctx.cycles();
       const std::uint64_t n = std::min<std::uint64_t>(
           static_cast<std::uint64_t>(max_ticks - ticks),

@@ -295,7 +295,6 @@ class ServerStage : public Stage {
   };
 
  private:
-
   /// Collects server egress for the ToR. Closes the open server hop: a
   /// hop's exit can never precede its enter, so per-core virtual-clock
   /// skew is clamped away rather than producing negative residencies.
