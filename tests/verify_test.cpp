@@ -364,6 +364,25 @@ TEST(VerifierBess, CoreClaimBeyondServerBudget) {
   EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
 }
 
+TEST(VerifierBess, DemuxCoreCounted) {
+  // Worker claims that fill every core leave none for core 0's shared
+  // demultiplexer (appendix A.1.2), so the plan over-books the server.
+  auto d = compile_canonical({2});
+  auto& plan = d.artifacts.server_plans[0];
+  ASSERT_FALSE(plan.segments.empty());
+  const int cores = d.topo.servers[0].total_cores();
+  const int others = static_cast<int>(plan.segments.size()) - 1;
+  ASSERT_LT(others, cores);
+  for (auto& seg : plan.segments) {
+    seg.core_group = -1;
+    seg.replica_cores = {1};
+  }
+  plan.segments[0].replica_cores.assign(
+      static_cast<std::size_t>(cores - others), 1);
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
+}
+
 TEST(VerifierBess, ReplicaScheduledPastTheLastCore) {
   auto d = compile_canonical({2});
   auto& plan = d.artifacts.server_plans[0];
