@@ -103,7 +103,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "every BESS module is reachable from its segment entry along "
        "chain edges"},
       {"bess.core-overallocation", Severity::kError,
-       "core assignments on each server fit the server's core count"},
+       "core assignments on each server, plus core 0's shared "
+       "demultiplexer, fit the server's core count"},
       {"bess.core-group-conflict", Severity::kError,
        "core sharing in the plan matches what the Placer authorized"},
       {"bess.exit-unknown-endpoint", Severity::kError,

@@ -757,11 +757,10 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
       }
     }
 
-    // Note: the shared demultiplexer core (appendix A.1.2) is a Placer
-    // option the artifacts do not carry, so the audit only counts cores
-    // the plan explicitly claims.
-    const int used =
-        dedicated_cores + static_cast<int>(shared_groups.size());
+    // A server that runs any segment also runs the shared demultiplexer
+    // on core 0 (appendix A.1.2), beside the worker cores the plan claims.
+    const int used = (plan.segments.empty() ? 0 : 1) + dedicated_cores +
+                     static_cast<int>(shared_groups.size());
     if (used > server.total_cores()) {
       report.add(Severity::kError, "bess.core-overallocation",
                  "server " + std::to_string(plan.server),
