@@ -147,7 +147,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   if (spec.openflow) {
     topo.openflow = topo::OpenFlowSwitchSpec{};
     options.disable_pisa_nfs = true;
-    options.restrict_ipv4fwd_to_p4 = false;
   }
   auto chains = bench::chain_set(spec.chain_numbers, spec.delta, topo,
                                  options);

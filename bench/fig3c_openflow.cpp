@@ -9,7 +9,6 @@ int main() {
   using namespace lemur;
   placer::PlacerOptions options;
   options.disable_pisa_nfs = true;       // The ToR is only a coordinator.
-  options.restrict_ipv4fwd_to_p4 = false;
 
   std::printf("Lemur reproduction — Figure 3c: OpenFlow offload of "
               "chain 3\n");

@@ -6,11 +6,11 @@
 namespace lemur::placer {
 namespace {
 
-/// Tracks free cores per server, honoring the demux-core reservation.
+/// Tracks free cores per server, honoring the demux-core reservation
+/// (one core per active server, paper appendix A.1.2).
 class CorePool {
  public:
-  CorePool(const topo::Topology& topo, const PlacerOptions& options)
-      : topo_(topo), options_(options) {
+  explicit CorePool(const topo::Topology& topo) {
     free_.reserve(topo.servers.size());
     for (const auto& s : topo.servers) {
       free_.push_back(s.failed ? 0 : s.total_cores());
@@ -21,14 +21,13 @@ class CorePool {
   /// Cores available on `s` for subgroup use right now.
   [[nodiscard]] int available(int s) const {
     const auto i = static_cast<std::size_t>(s);
-    const int reserve = !options_.metron_core_steering && !active_[i] ? 1 : 0;
-    return free_[i] - reserve;
+    return free_[i] - (active_[i] ? 0 : 1);
   }
 
   bool take(int s, int n = 1) {
     const auto i = static_cast<std::size_t>(s);
     if (available(s) < n) return false;
-    if (!options_.metron_core_steering && !active_[i]) {
+    if (!active_[i]) {
       free_[i] -= 1;  // Demux core.
       active_[i] = true;
     }
@@ -50,8 +49,6 @@ class CorePool {
   }
 
  private:
-  const topo::Topology& topo_;
-  const PlacerOptions& options_;
   std::vector<int> free_;
   std::vector<bool> active_;
 };
@@ -119,7 +116,7 @@ AllocOutcome allocate_cores(Deployment& deployment,
                             const topo::Topology& topo,
                             const PlacerOptions& belief, AllocMode mode) {
   AllocOutcome out;
-  CorePool pool(topo, belief);
+  CorePool pool(topo);
 
   // Core-sharing pre-pass (appendix A.1.3: multiple subgroups per core,
   // scheduled round-robin): non-replicable subgroups — which can never

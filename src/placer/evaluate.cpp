@@ -57,8 +57,7 @@ double chain_capacity_gbps(const Deployment& deployment, int chain_index,
 }
 
 std::vector<int> cores_used_per_server(const Deployment& deployment,
-                                       const topo::Topology& topo,
-                                       const PlacerOptions& options) {
+                                       const topo::Topology& topo) {
   std::vector<int> used(topo.servers.size(), 0);
   std::vector<bool> active(topo.servers.size(), false);
   std::set<int> shared_counted;
@@ -73,10 +72,8 @@ std::vector<int> cores_used_per_server(const Deployment& deployment,
     }
     active[static_cast<std::size_t>(g.server)] = true;
   }
-  if (!options.metron_core_steering) {
-    for (std::size_t s = 0; s < used.size(); ++s) {
-      if (active[s]) ++used[s];
-    }
+  for (std::size_t s = 0; s < used.size(); ++s) {
+    if (active[s]) ++used[s];
   }
   return used;
 }
@@ -92,7 +89,7 @@ PlacementResult evaluate(const Deployment& deployment,
   out.chains.resize(chains.size());
 
   // Core budget.
-  const auto used = cores_used_per_server(deployment, topo, options);
+  const auto used = cores_used_per_server(deployment, topo);
   for (std::size_t s = 0; s < used.size(); ++s) {
     out.cores_used += used[s];
     const int budget = topo.servers[s].failed

@@ -46,7 +46,6 @@ PlacementResult evaluate(const Deployment& deployment,
 /// Cores consumed by the deployment on each server, including the
 /// reserved demux core on servers hosting at least one subgroup.
 std::vector<int> cores_used_per_server(const Deployment& deployment,
-                                       const topo::Topology& topo,
-                                       const PlacerOptions& options);
+                                       const topo::Topology& topo);
 
 }  // namespace lemur::placer

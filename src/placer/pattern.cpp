@@ -28,9 +28,10 @@ std::vector<Target> allowed_targets(const chain::NfNode& node,
                                     bool branch_or_merge) {
   const nf::NfSpec& spec = nf::spec_of(node.type);
   std::vector<Target> out;
+  // Paper Table 3 footnote: the evaluation limits IPv4Fwd to P4 wherever
+  // the PISA switch may host NFs.
   const bool ipv4fwd_restricted =
-      !options.disable_pisa_nfs && options.restrict_ipv4fwd_to_p4 &&
-      node.type == nf::NfType::kIpv4Fwd;
+      !options.disable_pisa_nfs && node.type == nf::NfType::kIpv4Fwd;
   if (spec.has_p4 && !options.disable_pisa_nfs) {
     out.push_back(Target::kPisa);
   }
@@ -137,12 +138,7 @@ std::vector<NicAssignment> nic_assignments(const chain::NfGraph& graph,
     a.chain = chain_index;
     a.node = node.id;
     a.smartnic = p.smartnic;
-    // NIC engines see the raw NF cost; the NUMA factor is a server-side
-    // artifact, so profile without it.
-    PlacerOptions nic_options = options;
-    nic_options.numa_worst_case = false;
-    topo::ServerSpec dummy;
-    a.cycles = profiled_cycles(node, dummy, nic_options);
+    a.cycles = nic_profiled_cycles(node, options);
     a.traffic_fraction = fractions[static_cast<std::size_t>(node.id)];
     out.push_back(a);
   }
@@ -246,14 +242,9 @@ PathAnalysis analyze_paths(const chain::NfGraph& graph,
             topo.smartnics[static_cast<std::size_t>(p.smartnic)];
         const topo::ServerSpec& server = topo.servers[static_cast<std::size_t>(
             nic.attached_server)];
-        PlacerOptions nic_options = options;
-        nic_options.numa_worst_case = false;
         latency_us +=
-            static_cast<double>(profiled_cycles(graph.node(id), server,
-                                                nic_options)) /
+            static_cast<double>(nic_profiled_cycles(graph.node(id), options)) /
             (server.clock_ghz * nic.speedup_vs_core * 1e3);
-      } else if (p.target == Target::kOpenFlow) {
-        out.openflow_coeff += 0;  // Accounted once per OF visit below.
       }
     }
     // Return to the switch for egress.

@@ -12,17 +12,29 @@ constexpr double kPacketBytes = 1500;
 /// Figure 2f "No Profiling": the cycles/packet assumed for every NF.
 constexpr std::uint64_t kUniformCostCycles = 20000;
 
+/// The node's worst-case cost times the platform `factor`, then times the
+/// profile scale, truncated to at least one cycle.
+std::uint64_t budgeted_cycles(const chain::NfNode& node, double factor,
+                              const PlacerOptions& options) {
+  if (options.no_profiling) return kUniformCostCycles;
+  double cycles = static_cast<double>(
+      nf::worst_case_cycles(node.type, node.config));
+  cycles *= factor;
+  cycles *= options.profile_scale;
+  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(cycles));
+}
+
 }  // namespace
 
 std::uint64_t profiled_cycles(const chain::NfNode& node,
                               const topo::ServerSpec& server,
                               const PlacerOptions& options) {
-  if (options.no_profiling) return kUniformCostCycles;
-  double cycles = static_cast<double>(
-      nf::worst_case_cycles(node.type, node.config));
-  if (options.numa_worst_case) cycles *= server.cross_numa_factor;
-  cycles *= options.profile_scale;
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(cycles));
+  return budgeted_cycles(node, server.cross_numa_factor, options);
+}
+
+std::uint64_t nic_profiled_cycles(const chain::NfNode& node,
+                                  const PlacerOptions& options) {
+  return budgeted_cycles(node, 1.0, options);
 }
 
 double pps_to_gbps(double pps) { return pps * kPacketBytes * 8.0 / 1e9; }

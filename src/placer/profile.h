@@ -12,12 +12,18 @@
 
 namespace lemur::placer {
 
-/// Worst-case cycles/packet the Placer budgets for a node, honoring the
-/// options' conservatism knobs (NUMA worst case, profile scaling, the
-/// no-profiling ablation).
+/// Worst-case cycles/packet the Placer budgets for a node on a server
+/// core: the worst-case cross-socket cost (paper section 5.2,
+/// "Cross-socket costs"), honoring the options' profile scaling and the
+/// no-profiling ablation.
 std::uint64_t profiled_cycles(const chain::NfNode& node,
                               const topo::ServerSpec& server,
                               const PlacerOptions& options);
+
+/// The same budget for a SmartNIC engine, which sees the raw NF cost:
+/// the NUMA factor is a server-side artifact.
+std::uint64_t nic_profiled_cycles(const chain::NfNode& node,
+                                  const PlacerOptions& options);
 
 /// Packets/s -> Gbps at 1500-byte frames.
 double pps_to_gbps(double pps);

@@ -102,18 +102,10 @@ struct PlacementResult {
 };
 
 struct PlacerOptions {
-  /// Paper Table 3 footnote: IPv4Fwd artificially limited to P4-only for
-  /// the evaluation. On by default to mirror the paper's setup.
-  bool restrict_ipv4fwd_to_p4 = true;
-
   /// Figure 3c setup: "use an OpenFlow switch in place of a PISA switch".
   /// Disables NF offload onto the PISA ToR (it still coordinates), so
   /// hardware acceleration can only come from the OF switch or SmartNICs.
   bool disable_pisa_nfs = false;
-
-  /// Profile conservatism: assume worst-case cross-socket execution
-  /// (paper section 5.2, "Cross-socket costs").
-  bool numa_worst_case = true;
 
   /// Multiplies every profiled cost (profiling-error experiment,
   /// section 5.2: values < 1 under-estimate costs).
@@ -133,14 +125,6 @@ struct PlacerOptions {
   /// only stateful members are NATs become replicable; the metacompiler
   /// and runtime give each replica its own port range.
   bool replicate_nat_by_port_partition = false;
-
-  /// Section 3.2 / 4.2 future work (Metron-style): the PISA switch tags
-  /// packets with the target core so replica queues are fed directly —
-  /// no shared demultiplexer core and no per-packet steering cost.
-  /// Modelled at placement level: the demux core reservation (one core
-  /// per active server otherwise, paper appendix A.1.2) and the steering
-  /// overhead disappear.
-  bool metron_core_steering = false;
 
   /// Footnote 2 future work: the rate-allocation objective. kMaxMarginal
   /// is the paper's default (maximize sum of rates above t_min);

@@ -1,7 +1,7 @@
-// Tests for the future-work extensions the paper defers (sections 3.2,
-// 4.2 footnote 2, and 7): NAT replication by port-space partitioning,
-// Metron-style core steering, alternative rate-allocation objectives, and
-// failure fallback re-placement.
+// Tests for the future-work extensions the paper defers (section 3.2,
+// footnote 2, and section 7): NAT replication by port-space partitioning,
+// alternative rate-allocation objectives, and failure fallback
+// re-placement.
 #include <gtest/gtest.h>
 
 #include "src/chain/parser.h"
@@ -31,7 +31,6 @@ TEST(NatPartitioning, OffByDefaultNatStaysSingleCore) {
   PlacerOptions options;
   // Force NAT onto the server so its replicability matters.
   options.disable_pisa_nfs = true;
-  options.restrict_ipv4fwd_to_p4 = false;
   std::vector<ChainSpec> chains = {nat_heavy_chain(0.5)};
   metacompiler::CompilerOracle oracle(topo);
   auto placement = place(Strategy::kLemur, chains, topo, options, oracle);
@@ -51,7 +50,6 @@ TEST(NatPartitioning, FlagUnlocksReplicationAndCapacity) {
   topo::Topology topo = topo::Topology::lemur_testbed();
   PlacerOptions base;
   base.disable_pisa_nfs = true;
-  base.restrict_ipv4fwd_to_p4 = false;
   PlacerOptions partitioned = base;
   partitioned.replicate_nat_by_port_partition = true;
 
@@ -72,7 +70,6 @@ TEST(NatPartitioning, ReplicasTranslateWithDisjointPorts) {
   topo::Topology topo = topo::Topology::lemur_testbed();
   PlacerOptions options;
   options.disable_pisa_nfs = true;
-  options.restrict_ipv4fwd_to_p4 = false;
   options.replicate_nat_by_port_partition = true;
   std::vector<ChainSpec> chains = {nat_heavy_chain(3.0)};
   metacompiler::CompilerOracle oracle(topo);
@@ -107,32 +104,6 @@ TEST(NatPartitioning, ReplicasTranslateWithDisjointPorts) {
   EXPECT_GT(m.delivered_packets, 100u);
   // Traffic spread across replicas: more than one port range in use.
   EXPECT_GE(ranges_seen.size(), 2u);
-}
-
-TEST(MetronSteering, FreesTheDemuxCore) {
-  // A core-starved server: four chains each needing one Encrypt core.
-  // With the classic shared demux the server needs 4 + 1 cores and the
-  // packing fails; Metron-style switch steering frees the demux core.
-  topo::Topology topo = topo::Topology::multi_server(1, 4);
-  PlacerOptions options;
-  std::vector<ChainSpec> chains;
-  for (int i = 0; i < 4; ++i) {
-    auto parsed = chain::parse_chain("Encrypt");
-    ChainSpec spec;
-    spec.name = "c" + std::to_string(i);
-    spec.graph = std::move(parsed.graph);
-    spec.slo = chain::Slo::elastic_pipe(2.0, 100);
-    spec.aggregate_id = static_cast<std::uint32_t>(i + 1);
-    chains.push_back(std::move(spec));
-  }
-  metacompiler::CompilerOracle oracle(topo);
-  auto classic = place(Strategy::kLemur, chains, topo, options, oracle);
-  EXPECT_FALSE(classic.feasible);  // 4 subgroups + demux > 4 cores.
-
-  options.metron_core_steering = true;
-  metacompiler::CompilerOracle oracle2(topo);
-  auto metron = place(Strategy::kLemur, chains, topo, options, oracle2);
-  EXPECT_TRUE(metron.feasible) << metron.infeasible_reason;
 }
 
 TEST(Objectives, WeightedFavorsHeavyChain) {
@@ -234,8 +205,9 @@ TEST(Failover, ServerLossShrinksButSurvives) {
 }
 
 TEST(TimeVaryingSlo, PrecomputedPlacementsPerWindow) {
-  // Section 7: time-varying SLOs (e.g. higher daytime minimums) are
+  // Section 7: time-varying SLOs (e.g. higher daytime minimums) would be
   // handled by precomputing a placement per window and swapping them in.
+  // Only the precomputation exists: nothing swaps plans on a clock.
   topo::Topology topo = topo::Topology::lemur_testbed();
   PlacerOptions options;
   struct Window {
@@ -250,7 +222,7 @@ TEST(TimeVaryingSlo, PrecomputedPlacementsPerWindow) {
     auto placement = place(Strategy::kLemur, specs, topo, options, oracle);
     ASSERT_TRUE(placement.feasible)
         << window.name << ": " << placement.infeasible_reason;
-    // Each precomputed placement is independently deployable.
+    // Each precomputed placement compiles on its own.
     auto artifacts = metacompiler::compile(specs, placement, topo);
     EXPECT_TRUE(artifacts.ok) << window.name << ": " << artifacts.error;
   }

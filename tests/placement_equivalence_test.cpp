@@ -47,7 +47,6 @@ Rack place_rack(std::vector<chain::ChainSpec> chains,
   if (smartnic) {
     r.topo.smartnics.push_back(nic);
     options.disable_pisa_nfs = true;
-    options.restrict_ipv4fwd_to_p4 = false;
   }
   placer::apply_delta(r.chains, 0.5, r.topo.servers.front(), options);
   metacompiler::CompilerOracle oracle(r.topo);

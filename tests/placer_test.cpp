@@ -48,8 +48,7 @@ TEST(Profile, WorstCaseExceedsRegistryMean) {
   auto options = default_options();
   const auto cycles = profiled_cycles(node, server, options);
   EXPECT_GT(cycles, 8593u);  // Mean x jitter x NUMA.
-  options.numa_worst_case = false;
-  EXPECT_LT(profiled_cycles(node, server, options), cycles);
+  EXPECT_LT(nic_profiled_cycles(node, options), cycles);
 }
 
 TEST(Profile, NoProfilingIsUniform) {
@@ -127,9 +126,11 @@ TEST(Patterns, Ipv4FwdRestrictionHonored) {
   auto targets = allowed_targets(fwd, topo, options);
   ASSERT_EQ(targets.size(), 1u);  // P4-only, per the paper's footnote.
   EXPECT_EQ(targets[0], Target::kPisa);
-  options.restrict_ipv4fwd_to_p4 = false;
+  // With the switch hosting no NFs, IPv4Fwd runs off-switch.
+  options.disable_pisa_nfs = true;
   targets = allowed_targets(fwd, topo, options);
-  EXPECT_GT(targets.size(), 2u);
+  EXPECT_GE(targets.size(), 2u);
+  EXPECT_EQ(std::count(targets.begin(), targets.end(), Target::kPisa), 0);
 }
 
 TEST(Patterns, SubgroupsCoalesceConsecutiveServerNfs) {
@@ -166,7 +167,6 @@ TEST(Patterns, BranchNodesAreTheirOwnSubgroup) {
       "{'dst_port': 443, 'frac': 0.5, NAT}] -> IPv4Fwd");
   topo::Topology topo = topo::Topology::lemur_testbed();
   auto options = default_options();
-  options.restrict_ipv4fwd_to_p4 = false;
   Pattern pattern(spec.graph.nodes().size());  // All server.
   auto groups =
       form_subgroups(spec.graph, pattern, 0, topo.servers.front(), options);
@@ -363,7 +363,7 @@ TEST(CoreAlloc, DemuxCoreReserved) {
   std::vector<Pattern> patterns = {Pattern(1)};
   Deployment d = make_deployment(chains, patterns, topo, options);
   allocate_cores(d, chains, topo, options, AllocMode::kMaximizeMarginal);
-  const auto used = cores_used_per_server(d, topo, options);
+  const auto used = cores_used_per_server(d, topo);
   EXPECT_EQ(used[0], d.subgroups[0].cores + 1);  // +1 demux.
   EXPECT_LE(used[0], 8);
 }

@@ -407,7 +407,6 @@ TEST(Recovery, NatMappingsSurviveServerDeathMigration) {
   // Force every NF into software so the NAT's flow table lives on the
   // dying server (on the default options NAT would sit on the ToR).
   s.options.disable_pisa_nfs = true;
-  s.options.restrict_ipv4fwd_to_p4 = false;
   s.chains.push_back(parsed_chain("NAT -> Monitor -> IPv4Fwd", "nat-chain",
                                   chain::Slo::elastic_pipe(2, 20), 101));
   metacompiler::CompilerOracle oracle(s.topo);

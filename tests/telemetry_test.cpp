@@ -176,7 +176,6 @@ Deployed deploy_canonical(const std::vector<int>& numbers, double delta,
   d.topo = std::move(topo);
   if (openflow_mode) {
     d.options.disable_pisa_nfs = true;
-    d.options.restrict_ipv4fwd_to_p4 = false;
   }
   d.chains = chain::canonical_chains(numbers);
   placer::apply_delta(d.chains, delta, d.topo.servers.front(), d.options);

@@ -45,7 +45,6 @@ Deployment compile_canonical(const std::vector<int>& numbers,
   if (extras == Extras::kOpenFlow) {
     d.topo.openflow = topo::OpenFlowSwitchSpec{};
     options.disable_pisa_nfs = true;
-    options.restrict_ipv4fwd_to_p4 = false;
   }
   d.chains = chain::canonical_chains(numbers);
   placer::apply_delta(d.chains, delta, d.topo.servers.front(), options);

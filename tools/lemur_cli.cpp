@@ -198,7 +198,6 @@ int main(int argc, char** argv) {
 
   placer::PlacerOptions options;
   options.disable_pisa_nfs = cli.no_pisa_nfs;
-  if (cli.no_pisa_nfs) options.restrict_ipv4fwd_to_p4 = false;
 
   // Chains.
   std::vector<chain::ChainSpec> chains;
