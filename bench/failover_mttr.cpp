@@ -98,23 +98,6 @@ void fail(ScenarioResult& r, const std::string& why) {
   std::printf("  FAIL: %s\n", why.c_str());
 }
 
-bool conserved(const runtime::Measurement& m, ScenarioResult& r) {
-  bool ok = true;
-  for (std::size_t c = 0; c < m.chain_offered.size(); ++c) {
-    if (m.chain_offered[c] != m.chain_delivered[c] + m.chain_dropped[c] +
-                                  m.chain_residual[c]) {
-      fail(r, "conservation violated on chain " + std::to_string(c + 1));
-      ok = false;
-    }
-  }
-  if (m.offered_packets !=
-      m.delivered_packets + m.drops.total() + m.residual_queued) {
-    fail(r, "aggregate conservation violated");
-    ok = false;
-  }
-  return ok;
-}
-
 int pick_victim_server(const placer::PlacementResult& placement, bool last) {
   std::vector<int> used;
   for (const auto& g : placement.subgroups) {
@@ -190,7 +173,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   testbed.set_recovery_hook(&controller);
   r.m = testbed.run(kChaosMs);
   r.events = controller.events();
-  conserved(r.m, r);
+  if (!bench::conserved(r.m)) fail(r, "per-chain conservation violated");
 
   for (const auto& ev : r.events) {
     if (ev.recovered) {
@@ -361,20 +344,7 @@ int main(int argc, char** argv) {
     if (r.warm_gbps >= 0) w.kv("warm_gbps", r.warm_gbps);
     if (r.cold_gbps >= 0) w.kv("cold_gbps", r.cold_gbps);
     w.key("events");
-    w.begin_array();
-    for (const auto& ev : r.events) {
-      w.begin_object();
-      w.kv("element", ev.element);
-      w.kv("action", ev.action);
-      w.kv("detected_ns", ev.detected_ns);
-      w.kv("recovered_ns", ev.recovered_ns);
-      w.kv("fault_window_drops", ev.fault_window_drops);
-      w.kv("recovery_flush_drops", ev.recovery_flush_drops);
-      w.kv("slo_violation_ns", ev.slo_violation_ns);
-      w.kv("recovered", ev.recovered);
-      w.end_object();
-    }
-    w.end_array();
+    runtime::write_recovery_events(w, r.events);
     w.end_object();
   }
   w.end_array();

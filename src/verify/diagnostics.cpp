@@ -104,7 +104,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "chain edges"},
       {"bess.core-overallocation", Severity::kError,
        "core assignments on each server, plus core 0's shared "
-       "demultiplexer, fit the server's core count"},
+       "demultiplexer, fit the server's core count; no worker runs on "
+       "core 0, and each dedicated replica and each shared group has a "
+       "core of its own"},
       {"bess.core-group-conflict", Severity::kError,
        "core sharing in the plan matches what the Placer authorized"},
       {"bess.exit-unknown-endpoint", Severity::kError,

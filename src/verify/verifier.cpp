@@ -658,6 +658,8 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
     const auto& server = topo.servers[static_cast<std::size_t>(plan.server)];
     int dedicated_cores = 0;
     std::set<int> shared_groups;
+    std::map<int, int> workers_on_core;  // Dedicated replicas + groups.
+    std::map<int, std::set<int>> cores_of_group;
 
     for (std::size_t i = 0; i < plan.segments.size(); ++i) {
       const auto& seg = plan.segments[i];
@@ -717,6 +719,14 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
                      "replica scheduled on core " + std::to_string(core) +
                          " but the server has " +
                          std::to_string(server.total_cores()));
+        } else if (core == 0) {
+          report.add(Severity::kError, "bess.core-overallocation", locus,
+                     "replica scheduled on core 0, which runs the shared "
+                     "demultiplexer");
+        } else if (seg.core_group >= 0) {
+          cores_of_group[seg.core_group].insert(core);
+        } else {
+          ++workers_on_core[core];
         }
       }
 
@@ -757,13 +767,34 @@ void check_bess(const std::vector<chain::ChainSpec>& chains,
       }
     }
 
+    // Each dedicated replica and each shared group needs a core of its
+    // own: the runtime schedules replicas on the plan's cores as given,
+    // so any overlap shares a core the Placer budgeted as two.
+    const std::string server_locus = "server " + std::to_string(plan.server);
+    for (const auto& [group, cores] : cores_of_group) {
+      if (cores.size() > 1) {
+        report.add(Severity::kError, "bess.core-overallocation", server_locus,
+                   "shared group " + std::to_string(group) + " spans " +
+                       std::to_string(cores.size()) + " cores");
+      }
+      for (int core : cores) ++workers_on_core[core];
+    }
+    for (const auto& [core, workers] : workers_on_core) {
+      if (workers > 1) {
+        report.add(Severity::kError, "bess.core-overallocation", server_locus,
+                   "core " + std::to_string(core) + " runs " +
+                       std::to_string(workers) +
+                       " workers (dedicated replicas or shared groups)");
+      }
+    }
+
     // A server that runs any segment also runs the shared demultiplexer
     // on core 0 (appendix A.1.2), beside the worker cores the plan claims.
     const int used = (plan.segments.empty() ? 0 : 1) + dedicated_cores +
                      static_cast<int>(shared_groups.size());
     if (used > server.total_cores()) {
       report.add(Severity::kError, "bess.core-overallocation",
-                 "server " + std::to_string(plan.server),
+                 server_locus,
                  "plan claims " + std::to_string(used) +
                      " core(s) but the server has " +
                      std::to_string(server.total_cores()));

@@ -392,6 +392,60 @@ TEST(VerifierBess, ReplicaScheduledPastTheLastCore) {
   EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
 }
 
+TEST(VerifierBess, WorkerReplicaOnTheDemuxCore) {
+  // Core 0 runs the shared demultiplexer; the core count still fits, so
+  // only the core each replica is on shows the overlap.
+  auto d = compile_canonical({2});
+  auto& plan = d.artifacts.server_plans[0];
+  ASSERT_FALSE(plan.segments.empty());
+  auto& cores = plan.segments[0].replica_cores;
+  ASSERT_FALSE(cores.empty());
+  std::fill(cores.begin(), cores.end(), 0);
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
+}
+
+TEST(VerifierBess, DedicatedReplicasStackedOnOneCore) {
+  // The fig2 rack claims no more cores than the server has; putting every
+  // dedicated replica on core 1 keeps the count and shares one core.
+  auto d = compile_canonical({1, 2, 3, 4}, Extras::kNone, 0.9);
+  ASSERT_FALSE(d.verify().has_errors());
+  int dedicated = 0;
+  for (auto& plan : d.artifacts.server_plans) {
+    for (auto& seg : plan.segments) {
+      if (seg.core_group >= 0) continue;
+      std::fill(seg.replica_cores.begin(), seg.replica_cores.end(), 1);
+      dedicated += seg.replicas();
+    }
+  }
+  ASSERT_GT(dedicated, 1);
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
+}
+
+TEST(VerifierBess, SharedGroupMemberOnADedicatedCore) {
+  // Chain 4 packs its non-replicable subgroups onto one shared core.
+  // Moving one member onto a dedicated replica's core splits the group
+  // and doubles up that core, while every count stays as it was.
+  auto d = compile_canonical({4});
+  ASSERT_FALSE(d.verify().has_errors());
+  auto& segments = d.artifacts.server_plans[0].segments;
+  const auto member =
+      std::find_if(segments.begin(), segments.end(),
+                   [](const auto& s) { return s.core_group >= 0; });
+  const auto dedicated = std::find_if(
+      segments.begin(), segments.end(),
+      [](const auto& s) { return s.core_group < 0 && s.replicas() > 0; });
+  ASSERT_NE(member, segments.end());
+  ASSERT_NE(dedicated, segments.end());
+  member->replica_cores = {dedicated->replica_cores[0]};
+  const auto report = d.verify();
+  EXPECT_TRUE(report.fired("bess.core-overallocation")) << report.to_string();
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find("spans 2 cores"), std::string::npos) << text;
+  EXPECT_NE(text.find("runs 2 workers"), std::string::npos) << text;
+}
+
 TEST(VerifierBess, CoreSharingNotAuthorizedByPlacer) {
   auto d = compile_canonical({2});
   auto& plan = d.artifacts.server_plans[0];
