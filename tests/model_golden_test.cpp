@@ -294,8 +294,7 @@ std::string placement_text(const placer::PlacementResult& p) {
     out << "chain" << c << " " << p.chains[c].assigned_gbps << " "
         << p.chains[c].bounces << " " << p.chains[c].latency_us << ":";
     for (const auto& node : p.chains[c].nodes) {
-      out << " " << placer::to_string(node.target) << node.server << "."
-          << node.smartnic;
+      out << " " << placer::to_string(node.target) << "." << node.smartnic;
     }
     out << "\n";
   }
@@ -324,15 +323,14 @@ TEST(ModelGolden, PopScalePlacementAndP4) {
   const auto r = place_rack(numbers, topo, 0.5);
   const std::string p4 = pisa::print_program(r.artifacts.p4.program);
   std::ostringstream out;
-  out << "oracle calls " << r.placement.stats.oracle_calls << " stages "
-      << r.placement.pisa_stages_used << " compiled "
+  out << "oracle calls " << r.placement.stats.oracle_calls << " compiled "
       << r.artifacts.p4.compiled.stats.stages_used << " cores "
       << r.placement.cores_used
       << " placement fnv 0x" << fnv_hex(placement_text(r.placement))
       << " p4 bytes " << p4.size() << " fnv 0x" << fnv_hex(p4);
   EXPECT_EQ(out.str(),
-            "oracle calls 82 stages 12 compiled 10 cores 48 placement fnv "
-            "0x581c4775ae47ade p4 bytes 21729 fnv 0xba9e9617ae80ac93");
+            "oracle calls 82 compiled 10 cores 48 placement fnv "
+            "0x4be8c71b36f07abc p4 bytes 21729 fnv 0xba9e9617ae80ac93");
 }
 
 // Flow churn: a new flow every few packets through Dedup and Monitor.
