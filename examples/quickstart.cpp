@@ -56,10 +56,9 @@ int main() {
                         .target));
   }
   std::printf("predicted: %.2f Gbps (t_min %.2f, marginal %.2f), "
-              "%d switch stages, %d bounces\n",
+              "%d bounces\n",
               placement.aggregate_gbps, placement.aggregate_t_min_gbps,
-              placement.marginal_gbps(), placement.pisa_stages_used,
-              placement.chains[0].bounces);
+              placement.marginal_gbps(), placement.chains[0].bounces);
 
   // 4. Generate the cross-platform artifacts.
   auto artifacts = metacompiler::compile(chains, placement, topo);
@@ -68,9 +67,10 @@ int main() {
     return 1;
   }
   std::printf("metacompiler: %d lines emitted, %d generated coordination "
-              "(%.0f%%)\n",
+              "(%.0f%%), %d switch stages\n",
               artifacts.loc.total, artifacts.loc.generated,
-              100.0 * artifacts.loc.generated_fraction());
+              100.0 * artifacts.loc.generated_fraction(),
+              artifacts.p4.compiled.stats.stages_used);
 
   // 5. Deploy and measure for 10 ms of virtual time.
   runtime::Testbed testbed(chains, placement, artifacts, topo);

@@ -122,26 +122,15 @@ ChainRouting build_routing(const chain::ChainSpec& spec,
 
   // 1. Group nodes into segments.
   UnionFind uf(graph.nodes().size());
+  // A whole connected P4 component executes in one switch traversal; a
+  // server segment is one Placer subgroup; SmartNIC and OpenFlow segments
+  // are single nodes.
   for (const auto& e : graph.edges()) {
-    const Target a = target_of(e.from);
-    const Target b = target_of(e.to);
-    if (a != b) continue;
-    if (a == Target::kPisa) {
-      // Whole connected P4 component executes in one switch traversal.
+    const bool p4 =
+        target_of(e.from) == Target::kPisa && target_of(e.to) == Target::kPisa;
+    if (p4 || placer::joins_subgroup(graph, pattern, e)) {
       uf.unite(e.from, e.to);
-    } else if (a == Target::kServer) {
-      // Run-to-completion: only across linear hand-offs, and never across
-      // a branch/merge node (matches the Placer's subgroup rule in
-      // form_subgroups(); branch/merge nodes stay in singleton subgroups
-      // and may carry their own core assignments).
-      if (graph.successors(e.from).size() == 1 &&
-          graph.predecessors(e.to).size() == 1 &&
-          !graph.is_branch_or_merge(e.from) &&
-          !graph.is_branch_or_merge(e.to)) {
-        uf.unite(e.from, e.to);
-      }
     }
-    // SmartNIC / OpenFlow: single-node segments.
   }
 
   std::map<int, int> root_to_segment;

@@ -214,6 +214,22 @@ AllocOutcome allocate_cores(Deployment& deployment,
     pool.take(g.server, 1);
     ++g.cores;
   };
+  // Grows chain `c`'s bottleneck subgroup, one core at a time, until the
+  // chain reaches `gbps` or its bottleneck cannot grow (evaluate() flags
+  // a chain left under t_min).
+  auto lift = [&](std::size_t c, double gbps) {
+    while (capacity(static_cast<int>(c)) < gbps - 1e-9) {
+      const int g =
+          bottleneck_subgroup(deployment, static_cast<int>(c), topo, pool);
+      if (g < 0) return;
+      add_core(g);
+    }
+  };
+  auto lift_to_t_min = [&] {
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      lift(c, chains[c].slo.t_min_gbps);
+    }
+  };
 
   switch (mode) {
     case AllocMode::kNone:
@@ -221,15 +237,7 @@ AllocOutcome allocate_cores(Deployment& deployment,
 
     case AllocMode::kMaximizeMarginal: {
       // Feasibility first: lift chains under t_min.
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        while (capacity(static_cast<int>(c)) <
-               chains[c].slo.t_min_gbps - 1e-9) {
-          const int g = bottleneck_subgroup(deployment, static_cast<int>(c),
-                                            topo, pool);
-          if (g < 0) break;  // evaluate() will flag the shortfall.
-          add_core(g);
-        }
-      }
+      lift_to_t_min();
       // Then spend spare cores where the clamped capacity gain is largest.
       while (true) {
         int best_subgroup = -1;
@@ -278,26 +286,10 @@ AllocOutcome allocate_cores(Deployment& deployment,
 
     case AllocMode::kSequentialSlo: {
       // Phase 1: meet each chain's t_min in order.
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        while (capacity(static_cast<int>(c)) <
-               chains[c].slo.t_min_gbps - 1e-9) {
-          const int g = bottleneck_subgroup(deployment, static_cast<int>(c),
-                                            topo, pool);
-          if (g < 0) break;
-          add_core(g);
-        }
-      }
+      lift_to_t_min();
       // Phase 2: spare cores sequentially by chain index — the paper's
       // Greedy can starve later chains this way.
-      for (std::size_t c = 0; c < chains.size(); ++c) {
-        while (capacity(static_cast<int>(c)) <
-               ceilings[c] - 1e-9) {
-          const int g = bottleneck_subgroup(deployment, static_cast<int>(c),
-                                            topo, pool);
-          if (g < 0) break;
-          add_core(g);
-        }
-      }
+      for (std::size_t c = 0; c < chains.size(); ++c) lift(c, ceilings[c]);
       break;
     }
   }

@@ -83,7 +83,6 @@ PlacementResult evaluate(const Deployment& deployment,
                          const topo::Topology& topo,
                          const PlacerOptions& options) {
   PlacementResult out;
-  out.pisa_stages_used = deployment.pisa_stages_used;
   out.subgroups = deployment.subgroups;
   out.nic_nfs = deployment.nic_nfs;
   out.chains.resize(chains.size());

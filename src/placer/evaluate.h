@@ -19,7 +19,6 @@ struct Deployment {
   std::vector<Pattern> patterns;    ///< Per chain.
   std::vector<Subgroup> subgroups;  ///< All chains; server/cores final.
   std::vector<NicAssignment> nic_nfs;
-  int pisa_stages_used = 0;
 };
 
 /// Builds subgroups and NIC assignments for all chains from patterns
@@ -37,7 +36,7 @@ double chain_capacity_gbps(const Deployment& deployment, int chain_index,
 
 /// Full evaluation: feasibility checks (core budget, t_min vs capacity,
 /// OpenFlow ordering, latency SLOs), then the rate LP. Fills a
-/// PlacementResult (strategy and stage count copied from the deployment).
+/// PlacementResult.
 PlacementResult evaluate(const Deployment& deployment,
                          const std::vector<chain::ChainSpec>& chains,
                          const topo::Topology& topo,

@@ -1,6 +1,7 @@
 #include "src/placer/pattern.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <map>
 
@@ -8,10 +9,6 @@
 
 namespace lemur::placer {
 namespace {
-
-/// Per-subgroup NSH encap+decap overhead (paper section 5.3: ~220
-/// cycles), charged once per packet per server visit.
-constexpr std::uint64_t kNshOverheadCycles = 220;
 
 /// Estimated one-way processing latency of a PISA/OF switch traverse.
 constexpr double kSwitchTraverseUs = 0.8;
@@ -52,6 +49,16 @@ std::vector<Target> allowed_targets(const chain::NfNode& node,
   return out;
 }
 
+bool joins_subgroup(const chain::NfGraph& graph, const Pattern& pattern,
+                    const chain::NfEdge& edge) {
+  return pattern[static_cast<std::size_t>(edge.from)].target ==
+             Target::kServer &&
+         pattern[static_cast<std::size_t>(edge.to)].target ==
+             Target::kServer &&
+         !graph.is_branch_or_merge(edge.from) &&
+         !graph.is_branch_or_merge(edge.to);
+}
+
 std::vector<Subgroup> form_subgroups(const chain::NfGraph& graph,
                                      const Pattern& pattern, int chain_index,
                                      const topo::ServerSpec& server_spec,
@@ -59,8 +66,7 @@ std::vector<Subgroup> form_subgroups(const chain::NfGraph& graph,
   const auto fractions = node_traffic_fractions(graph);
   const auto order = graph.topological_order();
 
-  // Union-find over server nodes: coalesce across single-succ/single-pred
-  // server->server edges.
+  // Union-find over server nodes, joined by the run-to-completion rule.
   std::vector<int> parent(graph.nodes().size());
   for (std::size_t i = 0; i < parent.size(); ++i) {
     parent[i] = static_cast<int>(i);
@@ -74,24 +80,9 @@ std::vector<Subgroup> form_subgroups(const chain::NfGraph& graph,
     return x;
   };
   for (const auto& e : graph.edges()) {
-    const auto& from = pattern[static_cast<std::size_t>(e.from)];
-    const auto& to = pattern[static_cast<std::size_t>(e.to)];
-    if (from.target != Target::kServer || to.target != Target::kServer) {
-      continue;
+    if (joins_subgroup(graph, pattern, e)) {
+      parent[static_cast<std::size_t>(find(e.from))] = find(e.to);
     }
-    if (graph.successors(e.from).size() != 1 ||
-        graph.predecessors(e.to).size() != 1) {
-      continue;
-    }
-    // Branch/merge nodes stay in singleton subgroups: folding one into a
-    // neighboring run would poison the whole run's replicability, which
-    // is usually a bad trade (the neighbor may be the expensive NF that
-    // needs scale-out). They can still share a core with other cheap
-    // subgroups via core sharing.
-    if (graph.is_branch_or_merge(e.from) || graph.is_branch_or_merge(e.to)) {
-      continue;
-    }
-    parent[static_cast<std::size_t>(find(e.from))] = find(e.to);
   }
 
   std::map<int, Subgroup> groups;
@@ -189,12 +180,11 @@ PathAnalysis analyze_paths(const chain::NfGraph& graph,
   auto server_of_node = [&](int id) -> int {
     const auto& p = pattern[static_cast<std::size_t>(id)];
     if (p.target == Target::kServer) {
-      const int g = subgroup_of(chain_subgroups, chain_subgroups.empty()
-                                                     ? 0
-                                                     : chain_subgroups[0].chain,
+      // form_subgroups() puts every server NF in one of the subgroups.
+      const int g = subgroup_of(chain_subgroups, chain_subgroups.front().chain,
                                 id);
-      return g >= 0 ? chain_subgroups[static_cast<std::size_t>(g)].server
-                    : p.server;
+      assert(g >= 0);
+      return chain_subgroups[static_cast<std::size_t>(g)].server;
     }
     if (p.target == Target::kSmartNic) {
       const auto& nic =

@@ -4,6 +4,7 @@
 // coefficients, and latency estimates.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/placer/profile.h"
@@ -13,6 +14,10 @@ namespace lemur::placer {
 
 /// Per-node placement of one chain (indexed by node id).
 using Pattern = std::vector<NodePlacement>;
+
+/// Per-subgroup NSH encap+decap overhead (paper section 5.3: ~220
+/// cycles), charged once per packet per server visit.
+inline constexpr std::uint64_t kNshOverheadCycles = 220;
 
 /// Targets a node may legally use, given Table 3's platform matrix, the
 /// topology's available hardware, and the options' evaluation
@@ -25,13 +30,22 @@ std::vector<Target> allowed_targets(const chain::NfNode& node,
                                     const PlacerOptions& options,
                                     bool branch_or_merge = false);
 
-/// Forms the run-to-completion subgroups of `pattern`: maximal runs of
-/// consecutive same-server nodes where interior hand-offs are
-/// single-successor/single-predecessor. Subgroup cycle costs include the
-/// per-subgroup NSH encap+decap overhead (~220 cycles). Branch/merge
+/// The run-to-completion rule (section 3.2): `edge` joins its two ends
+/// into one subgroup when both are server NFs and neither is a
+/// branch/merge node. Branch/merge nodes stay in singleton subgroups:
+/// folding one into a neighboring run would make the whole run
+/// non-replicable, and the neighbor may be the expensive NF that needs
+/// scale-out. They can still share a core with other cheap subgroups.
+/// The metacompiler's server segments follow the same rule.
+bool joins_subgroup(const chain::NfGraph& graph, const Pattern& pattern,
+                    const chain::NfEdge& edge);
+
+/// Forms the run-to-completion subgroups of `pattern`: the components of
+/// the server nodes under joins_subgroup(). Subgroup cycle costs include
+/// the per-subgroup NSH overhead (kNshOverheadCycles). Branch/merge
 /// membership or a non-replicable NF makes a subgroup non-replicable.
 /// Each subgroup's `server`/`cores` fields are left at defaults for the
-/// allocator to fill.
+/// allocator to fill; a server NF runs on its subgroup's server.
 std::vector<Subgroup> form_subgroups(const chain::NfGraph& graph,
                                      const Pattern& pattern, int chain_index,
                                      const topo::ServerSpec& server_spec,

@@ -50,12 +50,11 @@ PlacementResult infeasible(const std::vector<chain::ChainSpec>& chains,
 
 /// Evaluates a candidate: allocation under belief, scoring under belief.
 PlacementResult score_candidate(std::vector<Pattern> patterns,
-                                int stages_used, AllocMode mode,
+                                AllocMode mode,
                                 const std::vector<chain::ChainSpec>& chains,
                                 const topo::Topology& topo,
                                 const PlacerOptions& belief) {
   Deployment d = make_deployment(chains, std::move(patterns), topo, belief);
-  d.pisa_stages_used = stages_used;
   auto alloc = allocate_cores(d, chains, topo, belief, mode);
   if (!alloc.ok) return infeasible(chains, alloc.reason);
   return evaluate(d, chains, topo, belief);
@@ -67,15 +66,13 @@ PlacementResult score_candidate(std::vector<Pattern> patterns,
 /// Scores a pattern set under both core-allocation searches (marginal-
 /// gain greedy and SLO-sequential), keeping the better outcome.
 PlacementResult score_best_alloc(const std::vector<Pattern>& patterns,
-                                 int stages_used,
                                  const std::vector<chain::ChainSpec>& chains,
                                  const topo::Topology& topo,
                                  const PlacerOptions& belief) {
-  auto a = score_candidate(patterns, stages_used,
-                           AllocMode::kMaximizeMarginal, chains, topo,
+  auto a = score_candidate(patterns, AllocMode::kMaximizeMarginal, chains,
+                           topo, belief);
+  auto b = score_candidate(patterns, AllocMode::kSequentialSlo, chains, topo,
                            belief);
-  auto b = score_candidate(patterns, stages_used, AllocMode::kSequentialSlo,
-                           chains, topo, belief);
   return better_result(a, b) ? a : b;
 }
 
@@ -91,7 +88,6 @@ PlacementResult finalize(const PlacementResult& believed,
     patterns[c] = believed.chains[c].nodes;
   }
   Deployment d = make_deployment(chains, std::move(patterns), topo, truth);
-  d.pisa_stages_used = believed.pisa_stages_used;
   // Copy the believed core allocation onto the true-profile subgroups
   // (subgroup structure is pattern-determined, so shapes match).
   for (auto& g : d.subgroups) {
@@ -178,7 +174,8 @@ bool should_coalesce(const CoalesceCandidate& cand, CoalesceRule rule,
       profiled_cycles(graph.node(cand.node), server, belief);
   // Coalesced cost: one NSH overhead instead of two.
   const double coalesced =
-      static_cast<double>(a.cycles + b.cycles + node_cycles) - 220.0;
+      static_cast<double>(a.cycles + b.cycles + node_cycles) -
+      static_cast<double>(kNshOverheadCycles);
   const double separate_rate =
       std::min(f / static_cast<double>(a.cycles),
                f / static_cast<double>(b.cycles));
@@ -234,16 +231,16 @@ void apply_coalesce(std::vector<Pattern>& patterns,
 /// chains are demoted or coalesced: fit the switch (step 1, updating
 /// `patterns` in place), build the two coalescing variants (step 2), and
 /// score every variant under each core-allocation search (step 3),
-/// raising `best` to the best outcome. Returns the fitted program's stage
-/// count, or -1 when the movable chains cannot shrink it enough.
-int lemur_search(std::vector<Pattern>& patterns,
-                 const std::vector<bool>& movable, AllocMode alloc_mode,
-                 const std::vector<chain::ChainSpec>& chains,
-                 const topo::Topology& topo, const PlacerOptions& belief,
-                 SwitchOracle& oracle, PlacementResult& best) {
-  const int stages =
-      fit_to_switch(patterns, movable, chains, topo, belief, oracle);
-  if (stages < 0) return stages;
+/// raising `best` to the best outcome. Returns false when the movable
+/// chains cannot shrink the switch program enough to fit.
+bool lemur_search(std::vector<Pattern>& patterns,
+                  const std::vector<bool>& movable, AllocMode alloc_mode,
+                  const std::vector<chain::ChainSpec>& chains,
+                  const topo::Topology& topo, const PlacerOptions& belief,
+                  SwitchOracle& oracle, PlacementResult& best) {
+  if (fit_to_switch(patterns, movable, chains, topo, belief, oracle) < 0) {
+    return false;
+  }
 
   // Step 2: coalescing variants. Offloads only remove switch NFs, so the
   // stage constraint keeps holding.
@@ -283,12 +280,11 @@ int lemur_search(std::vector<Pattern>& patterns,
                                    AllocMode::kSequentialSlo};
   for (const auto& variant : {patterns, aggressive, conservative}) {
     for (const auto mode : alloc_modes) {
-      auto result =
-          score_candidate(variant, stages, mode, chains, topo, belief);
+      auto result = score_candidate(variant, mode, chains, topo, belief);
       if (better_result(result, best)) best = result;
     }
   }
-  return stages;
+  return true;
 }
 
 PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
@@ -298,8 +294,8 @@ PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
   // Every chain starts hardware-preferred and may move.
   std::vector<Pattern> baseline = hw_preferred_patterns(chains, topo, belief);
   PlacementResult best = infeasible(chains, "no variant scored");
-  if (lemur_search(baseline, std::vector<bool>(chains.size(), true),
-                   alloc_mode, chains, topo, belief, oracle, best) < 0) {
+  if (!lemur_search(baseline, std::vector<bool>(chains.size(), true),
+                    alloc_mode, chains, topo, belief, oracle, best)) {
     return infeasible(chains,
                       "switch-pinned NFs alone exceed the pipeline stages");
   }
@@ -338,10 +334,9 @@ PlacementResult run_lemur(const std::vector<chain::ChainSpec>& chains,
         }
       }
     }
-    const auto check = oracle.check(chains, pisa_nodes_of(repaired));
-    if (check.fits) {
-      auto result = score_candidate(repaired, check.stages_required,
-                                    alloc_mode, chains, topo, belief);
+    if (oracle.check(chains, pisa_nodes_of(repaired)).fits) {
+      auto result =
+          score_candidate(repaired, alloc_mode, chains, topo, belief);
       if (better_result(result, best)) best = result;
     }
   }
@@ -364,7 +359,7 @@ PlacementResult run_optimal(const std::vector<chain::ChainSpec>& chains,
     std::vector<chain::ChainSpec> solo = {chains[c]};
     for (auto& pattern : enumerate_patterns(chains[c], topo, belief)) {
       std::vector<Pattern> patterns = {pattern};
-      auto result = score_candidate(patterns, 0, AllocMode::kMaximizeMarginal,
+      auto result = score_candidate(patterns, AllocMode::kMaximizeMarginal,
                                     solo, topo, belief);
       const double score =
           (result.feasible ? 1e6 : 0) + result.aggregate_gbps;
@@ -394,10 +389,8 @@ PlacementResult run_optimal(const std::vector<chain::ChainSpec>& chains,
     for (std::size_t c = 0; c < chains.size(); ++c) {
       patterns[c] = beams[c][index[c]].pattern;
     }
-    const auto check = oracle.check(chains, pisa_nodes_of(patterns));
-    if (check.fits) {
-      auto result = score_best_alloc(patterns, check.stages_required,
-                                     chains, topo, belief);
+    if (oracle.check(chains, pisa_nodes_of(patterns)).fits) {
+      auto result = score_best_alloc(patterns, chains, topo, belief);
       if (better_result(result, best)) best = result;
     }
     // Advance the mixed-radix counter.
@@ -443,8 +436,7 @@ PlacementResult run_min_bounce(const std::vector<chain::ChainSpec>& chains,
   if (!check.fits) {
     return infeasible(chains, "min-bounce placement: " + check.error);
   }
-  return score_best_alloc(patterns, check.stages_required, chains, topo,
-                          belief);
+  return score_best_alloc(patterns, chains, topo, belief);
 }
 
 }  // namespace
@@ -603,7 +595,7 @@ PlacementResult place(Strategy strategy,
         break;
       }
       decided = score_candidate(
-          std::move(patterns), check.stages_required,
+          std::move(patterns),
           greedy ? AllocMode::kSequentialSlo : AllocMode::kEvenSpread, chains,
           topo, belief);
       break;
@@ -613,7 +605,7 @@ PlacementResult place(Strategy strategy,
       for (std::size_t c = 0; c < chains.size(); ++c) {
         patterns[c] = sw_pattern(chains[c]);
       }
-      decided = score_candidate(std::move(patterns), 0,
+      decided = score_candidate(std::move(patterns),
                                 AllocMode::kMaximizeMarginal, chains, topo,
                                 belief);
       break;
@@ -662,8 +654,8 @@ PlacementResult replace_incremental(const std::vector<chain::ChainSpec>& chains,
                                                   belief);
   }
   PlacementResult best = infeasible(chains, "no incremental variant scored");
-  if (lemur_search(baseline, affected, AllocMode::kMaximizeMarginal, chains,
-                   degraded_topo, belief, oracle, best) < 0) {
+  if (!lemur_search(baseline, affected, AllocMode::kMaximizeMarginal, chains,
+                    degraded_topo, belief, oracle, best)) {
     PlacementResult out = infeasible(
         chains,
         "incremental re-place: affected chains cannot shrink the switch "

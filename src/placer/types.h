@@ -29,9 +29,9 @@ enum class Target { kPisa, kServer, kSmartNic, kOpenFlow };
 
 [[nodiscard]] const char* to_string(Target target);
 
+/// A kServer node runs on its subgroup's server (Subgroup::server).
 struct NodePlacement {
   Target target = Target::kServer;
-  int server = 0;    ///< Valid when target is kServer.
   int smartnic = 0;  ///< Valid when target is kSmartNic.
 };
 
@@ -95,7 +95,6 @@ struct PlacementResult {
     return aggregate_gbps - aggregate_t_min_gbps;
   }
 
-  int pisa_stages_used = 0;
   int cores_used = 0;
   double placement_seconds = 0;  ///< Wall-clock spent placing.
   PlacementStats stats;          ///< Oracle-call accounting for the search.

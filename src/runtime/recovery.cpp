@@ -51,8 +51,6 @@ std::vector<int> RecoveryController::affected_chains(Element element) const {
   for (std::size_t c = 0; c < placement.chains.size(); ++c) {
     for (const auto& np : placement.chains[c].nodes) {
       const bool hit =
-          (server >= 0 && np.target == placer::Target::kServer &&
-           np.server == server) ||
           (nic >= 0 && np.target == placer::Target::kSmartNic &&
            np.smartnic == nic) ||
           (openflow && np.target == placer::Target::kOpenFlow);
@@ -62,8 +60,7 @@ std::vector<int> RecoveryController::affected_chains(Element element) const {
       }
     }
   }
-  // Subgroups carry the server assignment for PISA-adjacent chains whose
-  // node list alone may not show it.
+  // A server NF runs on its subgroup's server.
   if (server >= 0) {
     for (const auto& g : placement.subgroups) {
       if (g.server == server) affected.insert(g.chain);

@@ -868,19 +868,11 @@ void check_failed_elements(const placer::PlacementResult& placement,
   }
   const bool of_failed =
       topo.openflow.has_value() && topo.openflow->failed;
-  // A server-target node's authoritative server is its subgroup's (the
-  // NodePlacement.server field is only a fallback for nodes outside any
-  // subgroup, e.g. patterns that were never core-allocated).
+  // A server NF runs on its subgroup's server; one outside every
+  // subgroup already fails bess.core-group-conflict.
   auto node_server = [&](int chain, int node) {
-    for (const auto& g : placement.subgroups) {
-      if (g.chain != chain) continue;
-      if (std::find(g.nodes.begin(), g.nodes.end(), node) != g.nodes.end()) {
-        return g.server;
-      }
-    }
-    return placement.chains[static_cast<std::size_t>(chain)]
-        .nodes[static_cast<std::size_t>(node)]
-        .server;
+    const int g = placer::subgroup_of(placement.subgroups, chain, node);
+    return g < 0 ? -1 : placement.subgroups[static_cast<std::size_t>(g)].server;
   };
   for (std::size_t c = 0; c < placement.chains.size(); ++c) {
     for (std::size_t n = 0; n < placement.chains[c].nodes.size(); ++n) {

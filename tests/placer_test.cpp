@@ -461,8 +461,18 @@ TEST(Strategies, FitToSwitchDemotesUntilOracleAccepts) {
       fit_to_switch(patterns, {true}, chains, fx.topo, fx.options, tight);
   EXPECT_LE(stages, 4);
   auto result = place(Strategy::kLemur, chains, fx.topo, fx.options, tight);
-  EXPECT_TRUE(result.feasible) << result.infeasible_reason;
-  EXPECT_LE(result.pisa_stages_used, 4);
+  ASSERT_TRUE(result.feasible) << result.infeasible_reason;
+  // The placement's own switch NFs fit the tiny switch.
+  std::vector<int> on_switch;
+  const auto& nodes = result.chains[0].nodes;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].target == Target::kPisa) {
+      on_switch.push_back(static_cast<int>(n));
+    }
+  }
+  const auto check = tight.check(chains, {on_switch});
+  EXPECT_TRUE(check.fits) << check.error;
+  EXPECT_LE(check.stages_required, 4);
 }
 
 /// Records the checks it forwards to the wrapped oracle. With `refuse_until`
@@ -531,7 +541,6 @@ TEST(Placer, SwitchFitIsFirstFitNotBisection) {
   const auto result =
       place(Strategy::kLemur, chains, topo, options, compiler);
   ASSERT_TRUE(result.feasible) << result.infeasible_reason;
-  EXPECT_EQ(result.pisa_stages_used, 12);
   EXPECT_NEAR(result.marginal_gbps(), 58.59, 0.005);
 }
 
@@ -736,7 +745,6 @@ TEST(Incremental, AllAffectedOnHealthyRackMatchesPlace) {
           EXPECT_EQ(replaced.subgroups[g].cores, placed.subgroups[g].cores);
         }
         EXPECT_DOUBLE_EQ(replaced.aggregate_gbps, placed.aggregate_gbps);
-        EXPECT_EQ(replaced.pisa_stages_used, placed.pisa_stages_used);
       }
     }
   }

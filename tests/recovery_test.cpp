@@ -242,6 +242,32 @@ TEST(Recovery, ServerDeathIsDetectedAndRecovered) {
   EXPECT_GT(run.measurement.delivered_packets, 0u);
 }
 
+TEST(Recovery, ServerZeroDeathReplacesOnlyTheChainsItRan) {
+  // The other server-death tests kill the last used server. Killing the
+  // first (server 0) must re-place only the chains with a subgroup there,
+  // not every chain with a server NF.
+  auto s = canonical_scenario({3, 5}, 1.0);
+  const auto used = used_servers(s.placement);
+  ASSERT_EQ(used.size(), 2u);
+  const int victim = used.front();
+  std::set<int> on_victim;
+  for (const auto& sg : s.placement.subgroups) {
+    if (sg.server == victim) on_victim.insert(sg.chain);
+  }
+  const auto run =
+      run_chaos(s, "server:" + std::to_string(victim) + "@2", 8.0);
+
+  ASSERT_EQ(run.events.size(), 1u);
+  const auto& ev = run.events.front();
+  EXPECT_TRUE(ev.recovered) << ev.action;
+  EXPECT_EQ(ev.replaced_chains,
+            std::vector<int>(on_victim.begin(), on_victim.end()));
+  for (const auto& sg : run.final_placement.subgroups) {
+    EXPECT_NE(sg.server, victim);
+  }
+  expect_conserved(run.measurement);
+}
+
 TEST(Recovery, SwapChargesTheOldPlansModuleDrops) {
   // Offered 3x the LP rates, the servers' BESS modules drop packets
   // before server 1 dies at 6 ms. The swap destroys those modules, so the

@@ -25,10 +25,10 @@ TEST_P(Fig2Sweep, LemurRowDeploysAndDelivers) {
   auto placement = placer::place(placer::Strategy::kLemur, chains, topo,
                                  options, oracle);
   ASSERT_TRUE(placement.feasible) << placement.infeasible_reason;
-  EXPECT_LE(placement.pisa_stages_used, topo.tor.stages);
 
   auto artifacts = metacompiler::compile(chains, placement, topo);
   ASSERT_TRUE(artifacts.ok) << artifacts.error;
+  EXPECT_LE(artifacts.p4.compiled.stats.stages_used, topo.tor.stages);
   runtime::Testbed testbed(chains, placement, artifacts, topo);
   ASSERT_TRUE(testbed.ok()) << testbed.error();
   auto m = testbed.run(15.0);

@@ -43,6 +43,7 @@
 //   --no-pisa-nfs    ToR coordinates only (no NF offload)
 //   --measure MS     deploy and measure for MS milliseconds
 //   --pcap FILE      capture egress traffic to a pcap during --measure
+//   --seed N         seed of the measured run (default 7)
 //   --print-p4       dump the unified P4 program
 //   --print-bess     dump the per-server BESS scripts
 //   --json FILE      (stats) write the JSON snapshot to FILE, not stdout
@@ -274,11 +275,10 @@ int main(int argc, char** argv) {
                   placement.chains[c].bounces,
                   placement.chains[c].latency_us);
     }
-    std::printf("\naggregate %.2f Gbps (marginal %.2f), %d switch stages, "
-                "%d cores, placed in %.3f s\n",
+    std::printf("\naggregate %.2f Gbps (marginal %.2f), %d cores, placed in "
+                "%.3f s\n",
                 placement.aggregate_gbps, placement.marginal_gbps(),
-                placement.pisa_stages_used, placement.cores_used,
-                placement.placement_seconds);
+                placement.cores_used, placement.placement_seconds);
   }
 
   if (cli.verify) {
@@ -410,6 +410,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "metacompiler error: %s\n", artifacts.error.c_str());
     return 1;
   }
+  if (!quiet) {
+    std::printf("compiled: %d P4 stage(s)\n",
+                artifacts.p4.compiled.stats.stages_used);
+  }
   if (cli.print_p4) {
     std::printf("\n===== unified P4 program =====\n%s",
                 pisa::print_program(artifacts.p4.program).c_str());
@@ -422,7 +426,7 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.measure_ms > 0) {
-    runtime::Testbed testbed(chains, placement, artifacts, topo);
+    runtime::Testbed testbed(chains, placement, artifacts, topo, cli.seed);
     if (!testbed.ok()) {
       std::fprintf(stderr, "deployment error: %s\n",
                    testbed.error().c_str());
